@@ -47,17 +47,8 @@ using namespace mealib;
 
 namespace {
 
-/** FNV-1a over a byte range, for output-identity checks. */
-std::uint64_t
-digestBytes(std::uint64_t h, const void *data, std::size_t n)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 1099511628211ull;
-    }
-    return h;
-}
+using bench::digestBytes;
+using bench::hex64;
 
 struct Sample
 {
@@ -146,7 +137,7 @@ runCell(unsigned clients, const std::string &policy, unsigned rounds,
     smp.policy = policy;
     smp.calls = static_cast<std::uint64_t>(clients) * rounds * 2;
 
-    std::uint64_t digest = 1469598103934665603ull;
+    std::uint64_t digest = bench::kFnvBasis;
     std::vector<double> perClientS;
     Cost sum;
     for (unsigned i = 0; i < clients; ++i) {
@@ -188,15 +179,6 @@ runCell(unsigned clients, const std::string &policy, unsigned rounds,
         rt.memFree(cl[i].y);
     }
     return smp;
-}
-
-std::string
-hex64(std::uint64_t v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
 }
 
 } // namespace

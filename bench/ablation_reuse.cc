@@ -54,17 +54,8 @@ using mkl::cfloat;
 
 namespace {
 
-/** FNV-1a over a byte range, for output-identity checks. */
-std::uint64_t
-digestBytes(std::uint64_t h, const void *data, std::size_t n)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 1099511628211ull;
-    }
-    return h;
-}
+using bench::digestBytes;
+using bench::hex64;
 
 struct Sample
 {
@@ -213,7 +204,7 @@ runCell(std::uint64_t seed, unsigned chain, unsigned window,
     s.window = window;
     s.residency = residency;
 
-    std::uint64_t digest = 1469598103934665603ull;
+    std::uint64_t digest = bench::kFnvBasis;
     digest = runSarChain(rt, chain, seed, digest);
     s.sarInvocationS = rt.accounting().invocation.seconds;
     digest = runStapChain(rt, chain, window, seed, digest);
@@ -236,15 +227,6 @@ double
 reductionPct(double base, double v)
 {
     return base > 0.0 ? 100.0 * (base - v) / base : 0.0;
-}
-
-std::string
-hex64(std::uint64_t v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
 }
 
 } // namespace

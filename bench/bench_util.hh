@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -72,6 +73,34 @@ fmt(const char *format, double v)
 {
     char buf[64];
     std::snprintf(buf, sizeof(buf), format, v);
+    return buf;
+}
+
+// --- output digests ---------------------------------------------------------
+
+/** FNV-1a offset basis: the digest of no bytes. */
+constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
+
+/** Fold @p n bytes at @p data into FNV-1a digest @p h, for
+ * output-identity checks. */
+inline std::uint64_t
+digestBytes(std::uint64_t h, const void *data, std::size_t n)
+{
+    const auto *p = static_cast<const unsigned char *>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+        h ^= p[i];
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+/** A digest as 16 lowercase hex digits. */
+inline std::string
+hex64(std::uint64_t v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(v));
     return buf;
 }
 

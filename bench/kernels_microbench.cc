@@ -322,18 +322,6 @@ benchCherk(Report &rep, std::int64_t n, std::int64_t k)
         });
 }
 
-/** FNV-1a over raw bytes — the cross-ISA output digest. */
-std::uint64_t
-fnv1a(const void *data, std::size_t bytes, std::uint64_t h)
-{
-    const auto *b = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < bytes; ++i) {
-        h ^= b[i];
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
 /**
  * Digest of a representative kernel batch (map + reductions + gemv) at
  * the current tuning: every float bit of every output feeds the hash.
@@ -351,12 +339,14 @@ outputDigest(std::int64_t n, const std::vector<float> &x,
     std::vector<float> gy(static_cast<std::size_t>(dim));
     mkl::sgemv(mkl::Order::RowMajor, mkl::Transpose::NoTrans, dim, dim,
                1.0f, x.data(), dim, y.data(), 1, 0.0f, gy.data(), 1);
-    std::uint64_t h = 1469598103934665603ull;
-    h = fnv1a(v.data(), v.size() * sizeof(float), h);
-    h = fnv1a(&d, sizeof(d), h);
-    h = fnv1a(&r, sizeof(r), h);
-    h = fnv1a(&s, sizeof(s), h);
-    h = fnv1a(gy.data(), gy.size() * sizeof(float), h);
+    // The cross-ISA output digest: FNV-1a over every output byte.
+    using bench::digestBytes;
+    std::uint64_t h = bench::kFnvBasis;
+    h = digestBytes(h, v.data(), v.size() * sizeof(float));
+    h = digestBytes(h, &d, sizeof(d));
+    h = digestBytes(h, &r, sizeof(r));
+    h = digestBytes(h, &s, sizeof(s));
+    h = digestBytes(h, gy.data(), gy.size() * sizeof(float));
     return h;
 }
 

@@ -563,9 +563,9 @@ runStapMealib(const StapParams &p, runtime::MealibRuntime &rt,
             cpu.idleCost(res.accel.seconds + res.invocation.seconds);
         res.host.joules += idle.joules;
         res.criticalPathSeconds = acct.makespanSeconds;
-        // The runtime's ledger already mirrors the accounting above;
-        // add the package-idle charge so ledger.total() == total()
-        // stays exact.
+        // The accounting above is a view of the runtime's ledger; add
+        // the package-idle charge so ledger.total() == total() stays
+        // exact.
         res.ledger = rt.ledger();
         res.ledger.post("host", {0.0, idle.joules}, "package_idle");
         res.ledger.attribute("host", idle.joules);

@@ -23,15 +23,28 @@ appendCost(std::ostringstream &os, const Cost &c)
        << ", \"joules\": " << jnum(c.joules) << "}";
 }
 
+/** Append `"name": {"key": value, ...}` with one line per entry of
+ * @p map; @p value spells each mapped value. */
+template <typename Map, typename Fn>
+void
+appendObject(std::ostringstream &os, const char *name, const Map &map,
+             Fn value, bool last = false)
+{
+    os << "  \"" << name << "\": {";
+    bool first = true;
+    for (const auto &[key, v] : map) {
+        os << (first ? "\n" : ",\n") << "    \"" << key << "\": ";
+        value(v);
+        first = false;
+    }
+    os << (first ? "" : "\n  ") << (last ? "}\n" : "},\n");
+}
+
 } // namespace
 
 EnergyLedger::EnergyLedger(const EnergyLedger &other)
 {
-    std::lock_guard<std::mutex> lock(other.mu_);
-    tracks_ = other.tracks_;
-    components_ = other.components_;
-    events_ = other.events_;
-    flops_ = other.flops_;
+    *this = other;
 }
 
 EnergyLedger &
@@ -42,6 +55,8 @@ EnergyLedger::operator=(const EnergyLedger &other)
     std::scoped_lock lock(mu_, other.mu_);
     tracks_ = other.tracks_;
     components_ = other.components_;
+    byAccel_ = other.byAccel_;
+    counters_ = other.counters_;
     events_ = other.events_;
     flops_ = other.flops_;
     return *this;
@@ -65,6 +80,22 @@ EnergyLedger::attribute(const std::string &component, double joules)
 {
     std::lock_guard<std::mutex> lock(mu_);
     components_.add(component, joules);
+}
+
+void
+EnergyLedger::attributeAccel(const std::string &accel, const Cost &c)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    byAccel_[accel] += c;
+}
+
+void
+EnergyLedger::count(const std::string &name, std::uint64_t n)
+{
+    if (n == 0)
+        return;
+    std::lock_guard<std::mutex> lock(mu_);
+    counters_[name] += n;
 }
 
 void
@@ -105,6 +136,22 @@ EnergyLedger::track(const std::string &name) const
     return it == tracks_.end() ? Cost{} : it->second;
 }
 
+std::uint64_t
+EnergyLedger::counter(const std::string &name) const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = counters_.find(name);
+    return it == counters_.end() ? 0 : it->second;
+}
+
+EnergyLedger::EventStat
+EnergyLedger::event(const std::string &label) const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = events_.find(label);
+    return it == events_.end() ? EventStat{} : it->second;
+}
+
 double
 EnergyLedger::gflopsPerWatt() const
 {
@@ -122,6 +169,8 @@ EnergyLedger::reset()
     std::lock_guard<std::mutex> lock(mu_);
     tracks_.clear();
     components_ = Breakdown{};
+    byAccel_.clear();
+    counters_.clear();
     events_.clear();
     flops_ = 0.0;
 }
@@ -143,34 +192,21 @@ EnergyLedger::toJson(const std::string &machine) const
                      : 0.0;
     os << "  \"gflops_per_watt\": " << jnum(gfw) << ",\n";
 
-    os << "  \"tracks\": {";
-    bool first = true;
-    for (const auto &[name, c] : tracks_) {
-        os << (first ? "\n" : ",\n") << "    \"" << name << "\": ";
-        appendCost(os, c);
-        first = false;
-    }
-    os << (first ? "" : "\n  ") << "},\n";
-
-    os << "  \"energy_by_component\": {";
-    first = true;
-    for (const auto &[name, j] : components_.parts()) {
-        os << (first ? "\n" : ",\n") << "    \"" << name
-           << "\": " << jnum(j);
-        first = false;
-    }
-    os << (first ? "" : "\n  ") << "},\n";
-
-    os << "  \"events\": {";
-    first = true;
-    for (const auto &[label, ev] : events_) {
-        os << (first ? "\n" : ",\n") << "    \"" << label
-           << "\": {\"count\": " << ev.count << ", \"cost\": ";
-        appendCost(os, ev.cost);
-        os << "}";
-        first = false;
-    }
-    os << (first ? "" : "\n  ") << "}\n";
+    auto cost = [&](const Cost &c) { appendCost(os, c); };
+    appendObject(os, "tracks", tracks_, cost);
+    appendObject(os, "energy_by_component", components_.parts(),
+                 [&](double j) { os << jnum(j); });
+    appendObject(os, "cost_by_accel", byAccel_, cost);
+    appendObject(os, "counters", counters_,
+                 [&](std::uint64_t n) { os << n; });
+    appendObject(
+        os, "events", events_,
+        [&](const EventStat &ev) {
+            os << "{\"count\": " << ev.count << ", \"cost\": ";
+            appendCost(os, ev.cost);
+            os << "}";
+        },
+        /*last=*/true);
     os << "}\n";
     return os.str();
 }

@@ -7,10 +7,10 @@
  * dispatch decisions. An EnergyLedger collects them per run into one
  * observable record: named cost *tracks* whose sum is the run total,
  * an energy-only *component* attribution (DRAM vs. logic vs. NoC vs.
- * link vs. host package), and aggregated per-label event statistics.
- * The runtime posts to its ledger at exactly the points it updates
- * RuntimeAccounting, so ledger.total() equals accounting().total()
- * identically; `mealib-run --energy-json` serializes the ledger.
+ * link vs. host package), a per-accelerator attribution, named integer
+ * counters, and aggregated per-label event statistics. The ledger is
+ * the runtime's only cost store: `MealibRuntime::accounting()` is a
+ * view assembled from it, and `mealib-run --energy-json` serializes it.
  */
 
 #ifndef MEALIB_COMMON_LEDGER_HH
@@ -31,10 +31,10 @@ namespace mealib {
  *
  * Internally synchronized: one ledger may be posted to from several
  * threads (a session's dispatcher notes decisions while the shared
- * runtime mirrors accounting updates), so every mutator and every
- * aggregate reader takes an internal mutex. The reference-returning
- * views (tracks()/events()/energyByComponent()) are *not* synchronized
- * — read them only when no other thread is posting.
+ * runtime posts command costs), so every mutator and every aggregate
+ * reader takes an internal mutex. The reference-returning views
+ * (tracks()/events()/energyByComponent()/costByAccel()/counters()) are
+ * *not* synchronized — read them only when no other thread is posting.
  */
 class EnergyLedger
 {
@@ -66,6 +66,20 @@ class EnergyLedger
      */
     void attribute(const std::string &component, double joules);
 
+    /**
+     * Attribute @p c of already-posted cost to accelerator @p accel
+     * ("DOT", "AXPY", ...): the Fig. 14 per-accelerator view. Like
+     * attribute(), it never changes total().
+     */
+    void attributeAccel(const std::string &accel, const Cost &c);
+
+    /**
+     * Bump the named counter @p name ("retries", "flush_bytes_elided",
+     * ...) by @p n. A zero bump is a no-op, so a counter that never
+     * moved is absent and reads 0. Counters never change total().
+     */
+    void count(const std::string &name, std::uint64_t n = 1);
+
     /** Record a zero-cost event (e.g. a dispatch decision). */
     void note(const std::string &label);
 
@@ -78,8 +92,19 @@ class EnergyLedger
     /** One track's accumulated cost (zero if never posted). */
     Cost track(const std::string &name) const;
 
+    /** One counter's value (zero if never bumped). */
+    std::uint64_t counter(const std::string &name) const;
+
+    /** One event label's statistics (zero if never recorded). */
+    EventStat event(const std::string &label) const;
+
     const std::map<std::string, Cost> &tracks() const { return tracks_; }
     const Breakdown &energyByComponent() const { return components_; }
+    const std::map<std::string, Cost> &costByAccel() const { return byAccel_; }
+    const std::map<std::string, std::uint64_t> &counters() const
+    {
+        return counters_;
+    }
     const std::map<std::string, EventStat> &events() const
     {
         return events_;
@@ -106,7 +131,8 @@ class EnergyLedger
     /**
      * Serialize to a JSON object: machine name, total
      * {seconds, joules, watts, edp}, gflops_per_watt, per-track costs,
-     * energy_by_component, and the aggregated events.
+     * energy_by_component, cost_by_accel, counters, and the aggregated
+     * events.
      */
     std::string toJson(const std::string &machine = "") const;
 
@@ -116,6 +142,8 @@ class EnergyLedger
     mutable std::mutex mu_;
     std::map<std::string, Cost> tracks_;
     Breakdown components_;
+    std::map<std::string, Cost> byAccel_;
+    std::map<std::string, std::uint64_t> counters_;
     std::map<std::string, EventStat> events_;
     double flops_ = 0.0;
 };

@@ -101,8 +101,19 @@ validated(const RuntimeConfig &cfg)
     return cfg;
 }
 
-/** The thread's session ledger; runtime posts mirror into it. */
+/** The thread's session ledger; runtime posts go to it as well. */
 thread_local EnergyLedger *tlSessionLedger = nullptr;
+
+/** Apply @p post to the runtime's aggregate ledger and to the calling
+ * thread's bound session ledger, if any (docs/SESSIONS.md). */
+template <typename Fn>
+void
+postEach(EnergyLedger &aggregate, Fn &&post)
+{
+    post(aggregate);
+    if (tlSessionLedger != nullptr && tlSessionLedger != &aggregate)
+        post(*tlSessionLedger);
+}
 
 } // namespace
 
@@ -118,32 +129,6 @@ EnergyLedger *
 boundSessionLedger()
 {
     return tlSessionLedger;
-}
-
-void
-MealibRuntime::postLedger(const std::string &track, const Cost &c,
-                          const std::string &label)
-{
-    ledger_.post(track, c, label);
-    if (tlSessionLedger != nullptr && tlSessionLedger != &ledger_)
-        tlSessionLedger->post(track, c, label);
-}
-
-void
-MealibRuntime::attributeLedger(const std::string &component,
-                               double joules)
-{
-    ledger_.attribute(component, joules);
-    if (tlSessionLedger != nullptr && tlSessionLedger != &ledger_)
-        tlSessionLedger->attribute(component, joules);
-}
-
-void
-MealibRuntime::addFlopsLedger(double flops)
-{
-    ledger_.addFlops(flops);
-    if (tlSessionLedger != nullptr && tlSessionLedger != &ledger_)
-        tlSessionLedger->addFlops(flops);
 }
 
 MealibRuntime::MealibRuntime(const RuntimeConfig &cfg)
@@ -305,7 +290,8 @@ MealibRuntime::accPlan(const accel::DescriptorProgram &prog)
         plan.descAddr = img.descAddr;
         plan.descBytes = img.descBytes;
         plan.imageCached = true;
-        acct_.planImageReuses++;
+        postEach(ledger_,
+                 [](EnergyLedger &l) { l.count("plan_image_reuses"); });
     } else {
         const bool collision = cached != images_.end();
         std::vector<std::uint8_t> image = accel::encode(prog);
@@ -429,7 +415,7 @@ void
 MealibRuntime::hostWork(double seconds)
 {
     hostSeconds_ += seconds;
-    acct_.hostBusySeconds += seconds;
+    hostBusySeconds_ += seconds;
 }
 
 void
@@ -445,52 +431,72 @@ MealibRuntime::updateMakespan()
     double frontier = hostSeconds_;
     for (const CommandQueue &q : queues_)
         frontier = std::max(frontier, q.busyUntilSeconds());
-    acct_.makespanSeconds = std::max(acct_.makespanSeconds, frontier);
+    makespanSeconds_ = std::max(makespanSeconds_, frontier);
+}
+
+double
+MealibRuntime::hazardReady(const std::vector<AccessInterval> &intervals,
+                           double from) const
+{
+    for (const PendingAccess &pa : pending_)
+        for (const AccessInterval &iv : intervals)
+            if (iv.conflictsWith(pa.interval))
+                from = std::max(from, pa.finishSeconds);
+    return from;
+}
+
+std::shared_ptr<detail::EventState>
+MealibRuntime::newEventState()
+{
+    auto state = std::make_shared<detail::EventState>();
+    state->id = nextEventId_++;
+    state->epoch = epoch_;
+    return state;
+}
+
+MealibRuntime::Plan &
+MealibRuntime::planOf(AccPlanHandle handle, const char *who)
+{
+    auto it = plans_.find(handle);
+    fatalIf(it == plans_.end(), who, ": unknown plan handle ", handle);
+    return it->second;
+}
+
+void
+MealibRuntime::beginCommandLocked()
+{
+    const fault::FaultConfig &fc = cfg_.fault;
+    if (fc.failStack != fault::kNoStack && !sched_->failed(fc.failStack) &&
+        cmdIndex_ >= fc.failStackAfter)
+        failStackLocked(fc.failStack);
+    for (unsigned st : health_.beginCommand(cmdIndex_))
+        sched_->setAvailable(st, true);
 }
 
 Event
 MealibRuntime::accSubmit(AccPlanHandle handle)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return accSubmitLocked(handle);
-}
-
-Event
-MealibRuntime::accSubmitLocked(AccPlanHandle handle)
-{
-    auto it = plans_.find(handle);
-    fatalIf(it == plans_.end(), "accSubmit: unknown plan handle ",
-            handle);
-    applyScriptedFailure();
-    // Promote quarantined stacks whose cooldown has elapsed, then give
-    // any probation stack the next scheduler-routed command as its
-    // canary: the probe costs one real command, not synthetic traffic.
-    for (unsigned st : health_.beginCommand(cmdIndex_))
-        sched_->setAvailable(st, true);
-    unsigned home = homeStackOf(it->second.prog);
-    // With no survivor left the target is moot: accSubmitOn reroutes an
-    // unhealthy target to the host (or a FAILED event) on its own.
+    Plan &plan = planOf(handle, "accSubmit");
+    beginCommandLocked();
+    const unsigned home = homeStackOf(plan.prog);
+    // With no survivor left the target is moot: accSubmitOnLocked
+    // reroutes an unhealthy target to the host (or a FAILED event).
     unsigned target =
         sched_->healthyCount() > 0 ? sched_->pick(home) : home;
+    // Any probation stack takes this scheduler-routed command as its
+    // canary: the probe costs one real command, not synthetic traffic.
     const unsigned canary = health_.canaryTarget();
     if (canary != StackHealthMonitor::kNone && !sched_->failed(canary))
         target = canary;
-    return accSubmitOnLocked(handle, target);
+    return accSubmitOnLocked(plan, target);
 }
 
 Event
 MealibRuntime::accSubmitOn(AccPlanHandle handle, unsigned stackIdx)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return accSubmitOnLocked(handle, stackIdx);
-}
-
-Event
-MealibRuntime::accSubmitOnLocked(AccPlanHandle handle, unsigned stackIdx)
-{
-    auto it = plans_.find(handle);
-    fatalIf(it == plans_.end(), "accSubmit: unknown plan handle ",
-            handle);
+    Plan &plan = planOf(handle, "accSubmit");
     // An out-of-range stack is a recoverable caller error, not a
     // process-killing one: report it on the returned event.
     if (stackIdx >= cfg_.numStacks) {
@@ -500,18 +506,52 @@ MealibRuntime::accSubmitOnLocked(AccPlanHandle handle, unsigned stackIdx)
                 " out of range (" + std::to_string(cfg_.numStacks) +
                 " stacks)"));
     }
-    Plan &plan = it->second;
+    beginCommandLocked();
+    return accSubmitOnLocked(plan, stackIdx);
+}
 
-    applyScriptedFailure();
-    for (unsigned st : health_.beginCommand(cmdIndex_))
-        sched_->setAvailable(st, true);
+/** Each submit stage fills its part of the command; post() writes it to
+ * the ledgers once, and place() puts it on the timeline. */
+struct MealibRuntime::Submission
+{
+    Submission(Plan &p, unsigned st) : plan(p), stack(st) {}
+
+    Plan &plan;
+    unsigned stack;
+    std::uint64_t cmd = 0; //!< global submission index
+    // coherence(): the host-side hand-off
+    Cost flush;     //!< residency-elided cache flush
+    Cost handshake; //!< descriptor copy + START write + DONE poll
+    Cost integHost; //!< host-side source checksum
+    std::uint64_t verifyBytes = 0;  //!< verification footprint
+    std::uint64_t flushElided = 0;  //!< flush bytes skipped
+    std::uint64_t verifyElided = 0; //!< verify bytes skipped
+    // executeFunctional(), then resolveAttempts() fills in the retries,
+    // fault penalty, checkpoints and resume flag
+    accel::ExecStats es;
+    // resolveAttempts(): on success occupancySeconds is the total stack
+    // occupancy; on exhaustion it covers the failed attempts and
+    // lastFault is set
+    bool success = true;
+    double occupancySeconds = 0.0;
+    fault::FaultKind lastFault = fault::FaultKind::None;
+    Cost stackIntegrity; //!< stack-side verify + journal cost
+    std::uint64_t silentDetected = 0;
+    std::uint64_t silentUndetected = 0;
+    std::uint64_t eccCorrected = 0;  //!< in-line ECC corrections
+    std::uint64_t watchdogFires = 0; //!< hung attempts reclaimed
+};
+
+Event
+MealibRuntime::accSubmitOnLocked(Plan &plan, unsigned stackIdx)
+{
     if (sched_->failed(stackIdx)) {
         // The caller's target is dead: steer to a survivor, fall back
         // to the host, or report the loss — never submit to it.
         if (sched_->healthyCount() > 0) {
             stackIdx = sched_->pick(stackIdx);
         } else if (cfg_.retry.hostFallback) {
-            return submitOnHost(plan, stackIdx, 0);
+            return submitOnHost(plan, stackIdx);
         } else {
             return submitError(Status::error(
                 ErrorCode::DeviceFailed,
@@ -520,51 +560,99 @@ MealibRuntime::accSubmitOnLocked(AccPlanHandle handle, unsigned stackIdx)
         }
     }
 
-    // 1. Coherence: write back dirty lines so the memory-side view is
-    //    current (wbinvd, Sec. 3.5). With residency tracking on, read
-    //    operands the accelerators produced — and the host has not
-    //    touched since — are already coherent in stack memory, so the
-    //    flush shrinks to the host-dirtied remainder (and disappears
-    //    entirely when the whole read set is clean-on-stack).
+    Submission s{plan, stackIdx};
+    coherence(s);
+
+    // Hand the arrays to the accelerators (exclusive ownership).
+    // Functional execution happens eagerly in submission order; hazard
+    // chains guarantee that any order the timeline could legally
+    // report computes these same values.
+    std::uint8_t *desc = mem_->raw(plan.descAddr, plan.descBytes);
+    accel::writeCommand(desc, plan.descBytes, accel::Command::Start);
+    s.es = executeFunctional(plan, stackIdx);
+    accel::writeCommand(desc, plan.descBytes, accel::Command::Done);
+
+    // Roll the fault ladder. The functional results above were computed
+    // exactly once and are final either way: faults only shape cost,
+    // occupancy and the event's terminal state.
+    s.cmd = cmdIndex_++;
+    resolveAttempts(s);
+    accel::ExecStats &es = s.es;
+    es.total += es.faultPenalty;
+    es.integrity = s.stackIntegrity + s.integHost;
+    es.total += es.integrity;
+
+    const unsigned strikeOut = recordHealth(s);
+
+    // Fold the software-side invocation costs into the stats.
+    es.invocation += s.flush + s.handshake;
+    es.total += s.flush + s.handshake;
+    post(s);
+    return place(s, strikeOut);
+}
+
+void
+MealibRuntime::coherence(Submission &s) const
+{
+    const Plan &plan = s.plan;
+    // Write back dirty lines so the memory-side view is current
+    // (wbinvd, Sec. 3.5). With residency tracking on, read operands the
+    // accelerators produced — and the host has not touched since — are
+    // already coherent in stack memory, so the flush shrinks to the
+    // host-dirtied remainder (and disappears entirely when the whole
+    // read set is clean-on-stack).
     const bool residencyOn = cfg_.residency.enabled;
-    std::uint64_t effDirtyBytes = plan.dirtyBytes;
+    std::uint64_t dirty = plan.dirtyBytes;
     if (residencyOn) {
         const std::uint64_t readB =
             ResidencyTracker::readBytes(plan.intervals);
         const std::uint64_t cleanB =
             residency_.flushCleanReadBytes(plan.intervals);
         if (readB > 0 && cleanB >= readB) {
-            effDirtyBytes = 0;
+            dirty = 0;
         } else if (readB > 0 && cleanB > 0) {
             const double frac = static_cast<double>(cleanB) /
                                 static_cast<double>(readB);
-            effDirtyBytes = static_cast<std::uint64_t>(
+            dirty = static_cast<std::uint64_t>(
                 static_cast<double>(plan.dirtyBytes) * (1.0 - frac));
         }
-        acct_.flushBytesElided += plan.dirtyBytes - effDirtyBytes;
-        if (effDirtyBytes < plan.dirtyBytes)
-            postLedger("reuse", Cost{}, "flush_elided");
+        s.flushElided = plan.dirtyBytes - dirty;
     }
-    Cost flush = effDirtyBytes > 0 || !residencyOn
-                     ? host_.flushCost(effDirtyBytes)
-                     : Cost{};
+    s.flush = dirty > 0 || !residencyOn ? host_.flushCost(dirty) : Cost{};
 
-    // 2. Descriptor copy + START write + DONE poll over the host links.
-    double link_bw = cfg_.dram.org.linkBandwidth;
-    Cost handshake;
-    handshake.seconds = static_cast<double>(plan.descBytes) / link_bw +
-                        2.0e-6; // two link round trips
-    handshake.joules = cfg_.hostCpu.idleW * handshake.seconds;
+    // Descriptor copy + START write + DONE poll over the host links.
+    s.handshake.seconds =
+        static_cast<double>(plan.descBytes) /
+            cfg_.dram.org.linkBandwidth +
+        2.0e-6; // two link round trips
+    s.handshake.joules = cfg_.hostCpu.idleW * s.handshake.seconds;
 
-    // 3. Hand the arrays to the accelerators (exclusive ownership).
-    //    Functional execution happens eagerly in submission order;
-    //    hazard chains below guarantee that any order the timeline
-    //    could legally report computes these same values.
-    const std::uint8_t *img = mem_->raw(plan.descAddr, plan.descBytes);
-    accel::writeCommand(mem_->raw(plan.descAddr, plan.descBytes),
-                        plan.descBytes, accel::Command::Start);
-    accel::DescriptorProgram prog =
-        accel::decode(img, plan.descBytes);
+    s.verifyBytes = plan.transferBytes;
+    if (!cfg_.integrity.enabled())
+        return;
+    // Verification footprint: with residency on, intervals whose cached
+    // checksum is still valid (verified earlier, untouched since) are
+    // skipped by both the host-side and stack-side passes.
+    if (residencyOn) {
+        const std::uint64_t cleanV =
+            residency_.verifyCleanBytes(plan.intervals);
+        s.verifyBytes = cleanV < plan.transferBytes
+                            ? plan.transferBytes - cleanV
+                            : 0;
+        s.verifyElided = 2 * (plan.transferBytes - s.verifyBytes);
+    }
+    // Host-side source checksum: one pass over the operand footprint
+    // before the transfer (the re-verify passes after link crossings
+    // and vault reads are stack-side, charged per attempt).
+    s.integHost = fault::checksumCost(
+        cfg_.integrity, static_cast<double>(s.verifyBytes));
+}
+
+accel::ExecStats
+MealibRuntime::executeFunctional(const Plan &plan, unsigned stackIdx)
+{
+    accel::DescriptorProgram prog = accel::decode(
+        mem_->raw(plan.descAddr, plan.descBytes), plan.descBytes);
 
     // End-to-end verification, functional side: checksum the read-only
     // operand intervals before and after the execute. The fault model
@@ -605,133 +693,55 @@ MealibRuntime::accSubmitOnLocked(AccPlanHandle handle, unsigned stackIdx)
         es.total += remote;
         es.remote = remote;
     }
+    return es;
+}
 
-    accel::writeCommand(mem_->raw(plan.descAddr, plan.descBytes),
-                        plan.descBytes, accel::Command::Done);
-
-    // Everything accounted so far occupies the stack; the flush and
-    // handshake below occupy the host track instead.
-    const double accelSpan = es.total.seconds;
-    const double accelJoules = es.total.joules;
-
-    // Roll the fault ladder for this command. The functional results
-    // above were computed exactly once and are final either way: faults
-    // only shape cost, occupancy and the event's terminal state.
-    const std::uint64_t cmd = cmdIndex_++;
-    // Verification footprint: with residency on, intervals whose cached
-    // checksum is still valid (verified earlier, untouched since) are
-    // skipped by both the host-side and stack-side passes.
-    std::uint64_t effVerifyBytes = plan.transferBytes;
-    if (residencyOn && cfg_.integrity.enabled()) {
-        const std::uint64_t cleanV =
-            residency_.verifyCleanBytes(plan.intervals);
-        effVerifyBytes = cleanV < plan.transferBytes
-                             ? plan.transferBytes - cleanV
-                             : 0;
-        // Two passes (host + stack) skip these bytes each.
-        acct_.verifyBytesElided +=
-            2 * (plan.transferBytes - effVerifyBytes);
-        if (effVerifyBytes < plan.transferBytes)
-            postLedger("reuse", Cost{}, "verify_elided");
-    }
-    // Host-side source checksum: one pass over the operand footprint
-    // before the transfer (the re-verify passes after link crossings
-    // and vault reads are stack-side, charged per attempt below).
-    Cost integHost;
-    if (cfg_.integrity.enabled())
-        integHost = fault::checksumCost(cfg_.integrity,
-                                        static_cast<double>(
-                                            effVerifyBytes));
-    Attempts at;
-    if (faults_.enabled()) {
-        at = resolveAttempts(cmd, stackIdx, accelSpan, accelJoules,
-                             plan, effVerifyBytes);
-        es.retries = at.retries;
-        es.faultPenalty = at.penalty;
-        es.total += at.penalty;
-        acct_.retryCount += at.retries;
-    } else {
-        // Fault-free: one stack-side re-verify pass and the base
-        // checkpoint schedule (the overhead the chaos harness trades
-        // against recovery latency). This is exactly where the faulty
-        // path converges as every rate goes to zero.
-        if (cfg_.integrity.enabled())
-            at.integrity += fault::checksumCost(
-                cfg_.integrity,
-                static_cast<double>(effVerifyBytes));
-        if (checkpointed(plan)) {
-            const std::uint64_t comps = plan.expandedComps;
-            const std::uint64_t ival = cfg_.checkpoint.intervalComps;
-            const std::uint64_t last = (comps - 1) / ival;
-            const Cost snap = snapshotCost(plan);
-            for (std::uint64_t k = 1; k <= last; ++k) {
-                at.integrity += snap;
-                journal_.record({cmd, stackIdx, k * ival,
-                                 static_cast<double>(k * ival) /
-                                     static_cast<double>(comps),
-                                 plan.writeBytes});
-            }
-            at.checkpoints = last;
+void
+MealibRuntime::post(const Submission &s)
+{
+    const accel::ExecStats &es = s.es;
+    const Cost accelOnly{es.total.seconds - es.invocation.seconds -
+                             es.integrity.seconds,
+                         es.total.joules - es.invocation.joules -
+                             es.integrity.joules};
+    // The component attribution covers the whole posted energy:
+    // dram+logic+noc+link+fault == the accel track, "invocation" the
+    // invocation track, "integrity" the integrity track.
+    postEach(ledger_, [&](EnergyLedger &l) {
+        l.post("invocation", es.invocation, "flush+handshake");
+        l.post("accel", accelOnly, "execute");
+        for (const auto &[k, v] : es.energyByComponent.parts())
+            l.attribute(k, v);
+        if (es.remote.joules != 0.0)
+            l.attribute("link", es.remote.joules);
+        if (es.faultPenalty.joules != 0.0)
+            l.attribute("fault", es.faultPenalty.joules);
+        l.attribute("invocation", es.invocation.joules);
+        if (es.integrity.seconds != 0.0 || es.integrity.joules != 0.0) {
+            l.post("integrity", es.integrity, "verify+journal");
+            l.attribute("integrity", es.integrity.joules);
         }
-        at.occupancySeconds = accelSpan + at.integrity.seconds;
-    }
-    es.integrity = at.integrity + integHost;
-    es.total += es.integrity;
-    es.checkpoints = at.checkpoints;
-    es.resumed = at.resumed;
-    acct_.integrity += es.integrity;
-    acct_.silentDetected += at.silentDetected;
-    acct_.silentUndetected += at.silentUndetected;
-    acct_.checkpointsTaken += at.checkpoints;
+        l.addFlops(es.flops);
+        for (const auto &[k, v] : es.timeByAccel.parts())
+            l.attributeAccel(k, {v, es.energyByAccel.get(k)});
+        l.count("flush_bytes_elided", s.flushElided);
+        l.count("verify_bytes_elided", s.verifyElided);
+        l.count("retries", es.retries);
+        l.count("ecc_corrected", s.eccCorrected);
+        l.count("watchdog_fires", s.watchdogFires);
+        l.count("silent_detected", s.silentDetected);
+        l.count("silent_undetected", s.silentUndetected);
+        l.count("checkpoints", es.checkpoints);
+        l.count("resumed", s.success && es.resumed ? 1 : 0);
+    });
+}
 
-    // Feed the health monitor: a command counts as faulted when it
-    // needed the recovery ladder (in-line corrected ECC is latency, not
-    // a health signal). A struck-out stack dies after this command's
-    // event is placed, so the drain below re-homes it too.
-    unsigned strikeOut = StackHealthMonitor::kNone;
-    if (faults_.enabled() && health_.enabled()) {
-        const bool faulted = at.retries > 0 || !at.success ||
-                             at.silentDetected > 0;
-        strikeOut = recordHealth(stackIdx, cmd, faulted);
-    }
-
-    // Fold the software-side invocation costs into the stats.
-    es.invocation += flush + handshake;
-    es.total += flush + handshake;
-
-    acct_.invocation += es.invocation;
-    Cost accel_only{es.total.seconds - es.invocation.seconds -
-                        es.integrity.seconds,
-                    es.total.joules - es.invocation.joules -
-                        es.integrity.joules};
-    acct_.accel += accel_only;
-    for (const auto &[k, v] : es.timeByAccel.parts())
-        acct_.timeByAccel.add(k, v);
-    for (const auto &[k, v] : es.energyByAccel.parts())
-        acct_.energyByAccel.add(k, v);
-
-    // Ledger: mirror the accounting exactly, then attribute the energy
-    // to physical components (the attribution view covers the whole
-    // posted energy: dram+logic+noc+link+fault == the accel track,
-    // "invocation" the invocation track).
-    postLedger("invocation", es.invocation, "flush+handshake");
-    postLedger("accel", accel_only, "execute");
-    for (const auto &[k, v] : es.energyByComponent.parts())
-        attributeLedger(k, v);
-    if (es.remote.joules != 0.0)
-        attributeLedger("link", es.remote.joules);
-    if (es.faultPenalty.joules != 0.0)
-        attributeLedger("fault", es.faultPenalty.joules);
-    attributeLedger("invocation", es.invocation.joules);
-    if (es.integrity.seconds != 0.0 || es.integrity.joules != 0.0) {
-        postLedger("integrity", es.integrity, "verify+journal");
-        attributeLedger("integrity", es.integrity.joules);
-    }
-    addFlopsLedger(es.flops);
-
-    // --- timeline: place the command on its stack's queue -------------
-    hostWork(flush.seconds + handshake.seconds + integHost.seconds);
-    CommandQueue &q = queues_[stackIdx];
+Event
+MealibRuntime::place(Submission &s, unsigned strikeOut)
+{
+    const Plan &plan = s.plan;
+    hostWork(s.flush.seconds + s.handshake.seconds + s.integHost.seconds);
+    CommandQueue &q = queues_[s.stack];
     hostWaitUntil(q.admitSeconds(hostSeconds_)); // stall on a full queue
     q.retireUpTo(hostSeconds_);
 
@@ -741,34 +751,25 @@ MealibRuntime::accSubmitOnLocked(AccPlanHandle handle, unsigned stackIdx)
         return pa.finishSeconds <= hostSeconds_;
     });
 
-    double ready = hostSeconds_;
-    for (const PendingAccess &pa : pending_)
-        for (const AccessInterval &iv : plan.intervals)
-            if (iv.conflictsWith(pa.interval))
-                ready = std::max(ready, pa.finishSeconds);
-
     // Stack occupancy: clean span plus verification, journaling and any
     // fault-recovery time, scaled by the stack's degradation factor
     // (1.0 while healthy — exact).
-    const double spanBase = at.occupancySeconds;
-    const double occupancy = spanBase * slowdown_[stackIdx];
-
-    const double start = std::max(ready, q.busyUntilSeconds());
+    const double occupancy = s.occupancySeconds * slowdown_[s.stack];
+    const double start = std::max(hazardReady(plan.intervals, hostSeconds_),
+                                  q.busyUntilSeconds());
     const double finish = start + occupancy;
     q.push(start, finish);
-    acct_.busyByStack.add("stack" + std::to_string(stackIdx),
-                          occupancy);
+    busyByStack_.add("stack" + std::to_string(s.stack), occupancy);
 
-    auto state = std::make_shared<detail::EventState>();
-    state->id = nextEventId_++;
-    state->stack = stackIdx;
+    auto state = newEventState();
+    state->stack = s.stack;
     state->submitSeconds = hostSeconds_;
     state->startSeconds = start;
     state->finishSeconds = finish;
-    state->epoch = epoch_;
-    state->spanSeconds = spanBase;
+    state->spanSeconds = s.occupancySeconds;
     state->intervals = plan.intervals;
-    state->command = cmd;
+    state->command = s.cmd;
+    state->stats = s.es;
     // Replay granularity for a post-hoc stack death: the fraction of
     // the command one checkpoint interval covers (0 = not replayable).
     state->checkpointStep =
@@ -776,17 +777,14 @@ MealibRuntime::accSubmitOnLocked(AccPlanHandle handle, unsigned stackIdx)
             ? static_cast<double>(cfg_.checkpoint.intervalComps) /
                   static_cast<double>(plan.expandedComps)
             : 0.0;
-
     for (const AccessInterval &iv : plan.intervals)
         pending_.push_back({iv, finish, state->id});
 
-    if (at.success) {
-        state->state = at.resumed  ? EventState::Resumed
-                       : at.retries ? EventState::Retried
-                                    : EventState::Done;
-        if (at.resumed)
-            acct_.resumedFromCheckpoint++;
-        state->stats = es;
+    const bool residencyOn = cfg_.residency.enabled;
+    if (s.success) {
+        state->state = s.es.resumed   ? EventState::Resumed
+                       : s.es.retries ? EventState::Retried
+                                      : EventState::Done;
         inflight_.push_back(state);
         // The command's operands now live clean on the stack: reads
         // were flushed (or already clean), writes were produced there.
@@ -797,42 +795,23 @@ MealibRuntime::accSubmitOnLocked(AccPlanHandle handle, unsigned stackIdx)
     } else if (cfg_.retry.hostFallback) {
         // Retry budget exhausted on the accelerator: the stack burned
         // `occupancy` on dead attempts, then the host re-executes the
-        // plan natively (the minimkl naive-kernel cost model). The
-        // fallback is synchronous on the host track, so the event is
-        // already complete when the submit returns.
+        // plan natively. The fallback is synchronous on the host track,
+        // so the event is already complete when the submit returns.
         hostWaitUntil(finish);
-        Cost c = host_.run(fallbackProfile(es));
-        hostWork(c.seconds);
-        acct_.host += c;
-        postLedger("host", c, "fault_fallback");
-        attributeLedger("host", c.joules);
-        acct_.fallbackSeconds += c.seconds;
-        acct_.fallbackCount++;
-        es.fellBack = true;
-        es.total += c;
-        state->state = EventState::FellBack;
-        state->onHost = true;
-        state->finishSeconds = hostSeconds_;
-        state->stats = es;
-        state->waited = true;
-        // The host produced the results: its caches hold them dirty,
-        // so the written intervals are no longer clean-on-stack.
-        if (residencyOn)
-            residency_.invalidateWrites(plan.intervals);
+        chargeHostFallback(*state);
     } else {
         // No recovery left: the command terminates without a result.
-        state->state = at.lastFault == fault::FaultKind::CommandHang
+        state->state = s.lastFault == fault::FaultKind::CommandHang
                            ? EventState::TimedOut
                            : EventState::Failed;
         state->status = Status::error(
             state->state == EventState::TimedOut
                 ? ErrorCode::Timeout
                 : ErrorCode::DeviceFailed,
-            std::string("command ") + std::to_string(cmd) +
+            std::string("command ") + std::to_string(s.cmd) +
                 " exhausted its retry budget on stack " +
-                std::to_string(stackIdx) + " (last fault: " +
-                fault::name(at.lastFault) + ")");
-        state->stats = es;
+                std::to_string(s.stack) + " (last fault: " +
+                fault::name(s.lastFault) + ")");
         inflight_.push_back(state);
         // A failed/timed-out command leaves its output intervals in an
         // untrusted state: drop any residency they had.
@@ -845,13 +824,6 @@ MealibRuntime::accSubmitOnLocked(AccPlanHandle handle, unsigned stackIdx)
     if (strikeOut != StackHealthMonitor::kNone)
         failStackLocked(strikeOut);
     return Event(this, state);
-}
-
-const accel::ExecStats &
-MealibRuntime::eventWait(const std::shared_ptr<detail::EventState> &state)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return eventWaitLocked(state);
 }
 
 const accel::ExecStats &
@@ -889,14 +861,12 @@ accel::ExecStats
 MealibRuntime::accExecute(AccPlanHandle handle)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = plans_.find(handle);
-    fatalIf(it == plans_.end(), "accExecute: unknown plan handle ",
-            handle);
+    Plan &plan = planOf(handle, "accExecute");
+    beginCommandLocked();
     // The paper's blocking Listing-2 semantics: submit on the plan's
     // home stack, then poll DONE. One lock span covers both so another
     // session cannot interleave between a blocking submit and its wait.
-    Event ev =
-        accSubmitOnLocked(handle, homeStackOf(it->second.prog));
+    Event ev = accSubmitOnLocked(plan, homeStackOf(plan.prog));
     return eventWaitLocked(ev.state_);
 }
 
@@ -909,10 +879,7 @@ MealibRuntime::accDestroy(AccPlanHandle handle)
     constexpr std::size_t kDeadImageCap = 16;
 
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = plans_.find(handle);
-    fatalIf(it == plans_.end(), "accDestroy: unknown plan handle ",
-            handle);
-    const Plan &plan = it->second;
+    const Plan &plan = planOf(handle, "accDestroy");
     auto cached = images_.find(plan.imageHash);
     if (plan.imageCached && cached != images_.end() &&
         cached->second.descAddr == plan.descAddr) {
@@ -923,20 +890,10 @@ MealibRuntime::accDestroy(AccPlanHandle handle)
     } else {
         cmdAlloc_->free(plan.descAddr);
     }
-    plans_.erase(it);
+    plans_.erase(handle);
 }
 
 // --- degradation & fault injection (docs/FAULTS.md) -------------------
-
-void
-MealibRuntime::applyScriptedFailure()
-{
-    const fault::FaultConfig &fc = cfg_.fault;
-    if (fc.failStack == fault::kNoStack || sched_->failed(fc.failStack))
-        return;
-    if (cmdIndex_ >= fc.failStackAfter)
-        failStackLocked(fc.failStack);
-}
 
 void
 MealibRuntime::failStack(unsigned stackIdx)
@@ -958,17 +915,15 @@ MealibRuntime::failStackLocked(unsigned stackIdx)
                     cmdIndex_, 0});
 
     // Nothing on a dead stack can be trusted as clean or verified.
-    const std::uint64_t stackSpan = cfg_.backingBytes / cfg_.numStacks;
-    residency_.dropRange(static_cast<Addr>(stackIdx) * stackSpan,
-                         static_cast<Addr>(stackIdx + 1) * stackSpan);
+    dropStackResidency(stackIdx);
 
     // Cancel everything still occupying the dead stack past `now`.
     const double now = hostSeconds_;
     CommandQueue &q = queues_[stackIdx];
     const double before = q.busySeconds();
     q.cancelFrom(now);
-    acct_.busyByStack.add("stack" + std::to_string(stackIdx),
-                          q.busySeconds() - before);
+    busyByStack_.add("stack" + std::to_string(stackIdx),
+                     q.busySeconds() - before);
 
     // Re-home the killed commands in submission order. Their functional
     // results are already final (computed eagerly at submit), so the
@@ -980,8 +935,8 @@ MealibRuntime::failStackLocked(unsigned stackIdx)
             !state->waited && state->finishSeconds > now)
             drained.push_back(state);
 
+    std::uint64_t resumed = 0;
     for (const auto &state : drained) {
-        acct_.retryCount++;
         state->stats.retries++;
         // A drained command's destination is decided below; until it
         // completes there, none of its intervals count as resident.
@@ -992,11 +947,8 @@ MealibRuntime::failStackLocked(unsigned stackIdx)
         if (sched_->healthyCount() > 0) {
             unsigned dest = sched_->pick(stackIdx);
             CommandQueue &q2 = queues_[dest];
-            double ready = std::max(now, q2.busyUntilSeconds());
-            for (const PendingAccess &pa : pending_)
-                for (const AccessInterval &iv : state->intervals)
-                    if (iv.conflictsWith(pa.interval))
-                        ready = std::max(ready, pa.finishSeconds);
+            const double ready = hazardReady(
+                state->intervals, std::max(now, q2.busyUntilSeconds()));
             // Checkpoint replay: resume from the last snapshot the
             // dead stack committed before the command's execution
             // point, instead of re-running the command from scratch.
@@ -1016,14 +968,14 @@ MealibRuntime::failStackLocked(unsigned stackIdx)
             const double span = state->spanSeconds *
                                 (1.0 - resumeFrac) * slowdown_[dest];
             q2.push(ready, ready + span);
-            acct_.busyByStack.add("stack" + std::to_string(dest), span);
+            busyByStack_.add("stack" + std::to_string(dest), span);
             state->stack = dest;
             state->startSeconds = ready;
             state->finishSeconds = ready + span;
             if (resumeFrac > 0.0) {
                 state->state = EventState::Resumed;
                 state->stats.resumed = true;
-                acct_.resumedFromCheckpoint++;
+                resumed++;
             } else {
                 state->state = EventState::Retried;
             }
@@ -1031,20 +983,8 @@ MealibRuntime::failStackLocked(unsigned stackIdx)
                 pending_.push_back({iv, state->finishSeconds,
                                     state->id});
         } else if (cfg_.retry.hostFallback) {
-            Cost c = host_.run(fallbackProfile(state->stats));
-            hostWork(c.seconds);
-            acct_.host += c;
-            postLedger("host", c, "fault_fallback");
-            attributeLedger("host", c.joules);
-            acct_.fallbackSeconds += c.seconds;
-            acct_.fallbackCount++;
-            state->stats.fellBack = true;
-            state->stats.total += c;
-            state->state = EventState::FellBack;
-            state->onHost = true;
+            const Cost c = chargeHostFallback(*state);
             state->startSeconds = hostSeconds_ - c.seconds;
-            state->finishSeconds = hostSeconds_;
-            state->waited = true;
         } else {
             state->state = EventState::Failed;
             state->status = Status::error(
@@ -1055,6 +995,10 @@ MealibRuntime::failStackLocked(unsigned stackIdx)
             state->finishSeconds = now;
         }
     }
+    postEach(ledger_, [&](EnergyLedger &l) {
+        l.count("retries", drained.size());
+        l.count("resumed", resumed);
+    });
     updateMakespan();
 }
 
@@ -1109,36 +1053,33 @@ MealibRuntime::selectableStackCount() const
 }
 
 unsigned
-MealibRuntime::recordHealth(unsigned stackIdx, std::uint64_t cmd,
-                            bool faulted)
+MealibRuntime::recordHealth(const Submission &s)
 {
-    const StackHealthMonitor::Action act =
-        health_.recordOutcome(stackIdx, cmd, faulted);
-    acct_.quarantines = health_.quarantines();
-    acct_.readmissions = health_.readmissions();
+    // A command counts as faulted when it needed the recovery ladder
+    // (in-line corrected ECC is latency, not a health signal).
+    if (!faults_.enabled() || !health_.enabled())
+        return StackHealthMonitor::kNone;
+    const bool faulted =
+        s.es.retries > 0 || !s.success || s.silentDetected > 0;
+    using Action = StackHealthMonitor::Action;
+    const Action act = health_.recordOutcome(s.stack, s.cmd, faulted);
+    if (act == Action::Readmit)
+        sched_->setAvailable(s.stack, true);
+    if (act != Action::Quarantine && act != Action::Die)
+        return StackHealthMonitor::kNone;
     // Quarantine and death both mean the stack's recent behaviour is
     // suspect: anything it holds loses clean/verified status.
-    const std::uint64_t stackSpan = cfg_.backingBytes / cfg_.numStacks;
-    switch (act) {
-    case StackHealthMonitor::Action::Quarantine:
-        sched_->setAvailable(stackIdx, false);
-        residency_.dropRange(static_cast<Addr>(stackIdx) * stackSpan,
-                             static_cast<Addr>(stackIdx + 1) *
-                                 stackSpan);
-        break;
-    case StackHealthMonitor::Action::Readmit:
-        sched_->setAvailable(stackIdx, true);
-        break;
-    case StackHealthMonitor::Action::Die:
-        sched_->setAvailable(stackIdx, false);
-        residency_.dropRange(static_cast<Addr>(stackIdx) * stackSpan,
-                             static_cast<Addr>(stackIdx + 1) *
-                                 stackSpan);
-        return stackIdx;
-    case StackHealthMonitor::Action::None:
-        break;
-    }
-    return StackHealthMonitor::kNone;
+    sched_->setAvailable(s.stack, false);
+    dropStackResidency(s.stack);
+    return act == Action::Die ? s.stack : StackHealthMonitor::kNone;
+}
+
+void
+MealibRuntime::dropStackResidency(unsigned stackIdx)
+{
+    const std::uint64_t span = cfg_.backingBytes / cfg_.numStacks;
+    residency_.dropRange(static_cast<Addr>(stackIdx) * span,
+                         static_cast<Addr>(stackIdx + 1) * span);
 }
 
 bool
@@ -1166,15 +1107,18 @@ MealibRuntime::snapshotCost(const Plan &plan) const
     return c;
 }
 
-MealibRuntime::Attempts
-MealibRuntime::resolveAttempts(std::uint64_t cmd, unsigned stackIdx,
-                               double spanSeconds, double accelJoules,
-                               const Plan &plan,
-                               std::uint64_t effVerifyBytes)
+void
+MealibRuntime::resolveAttempts(Submission &s)
 {
     /** HMC-style request packet re-sent after a CRC failure. */
     constexpr std::uint64_t kCrcPacketBytes = 128;
 
+    const Plan &plan = s.plan;
+    accel::ExecStats &es = s.es;
+    const std::uint64_t cmd = s.cmd;
+    const unsigned stackIdx = s.stack;
+    const double spanSeconds = es.total.seconds;
+    const double accelJoules = es.total.joules;
     const bool integrityOn = cfg_.integrity.enabled();
     const bool ckpt = checkpointed(plan);
     const std::uint64_t comps = plan.expandedComps;
@@ -1184,10 +1128,9 @@ MealibRuntime::resolveAttempts(std::uint64_t cmd, unsigned stackIdx,
     const Cost verify =
         integrityOn
             ? fault::checksumCost(cfg_.integrity,
-                                  static_cast<double>(effVerifyBytes))
+                                  static_cast<double>(s.verifyBytes))
             : Cost{};
 
-    Attempts at;
     const dram::Stack &st = *stacks_[stackIdx];
     // Comps whose results a *committed* checkpoint already holds: a
     // retry resumes past them instead of re-running the whole command.
@@ -1198,12 +1141,12 @@ MealibRuntime::resolveAttempts(std::uint64_t cmd, unsigned stackIdx,
     std::uint64_t committed = 0;
     auto commitUpTo = [&](std::uint64_t newK) {
         for (std::uint64_t k = committed / ival + 1; k <= newK; ++k) {
-            at.integrity += snap;
+            s.stackIntegrity += snap;
             journal_.record({cmd, stackIdx, k * ival,
                              static_cast<double>(k * ival) /
                                  static_cast<double>(comps),
                              plan.writeBytes});
-            at.checkpoints++;
+            es.checkpoints++;
         }
         committed = newK * ival;
     };
@@ -1216,14 +1159,14 @@ MealibRuntime::resolveAttempts(std::uint64_t cmd, unsigned stackIdx,
                           : 0.0;
         const double attemptFrac = 1.0 - base;
         if (base > 0.0)
-            at.resumed = true;
+            es.resumed = true;
         fault::FaultPlan p = faults_.roll(cmd, attempt);
         if (p.eccCorrected > 0) {
             // In-line vault ECC corrections: latency-only, the attempt
             // still completes.
-            at.penalty.seconds +=
+            es.faultPenalty.seconds +=
                 p.eccCorrected * st.eccCorrectPenaltySeconds();
-            acct_.eccCorrected += p.eccCorrected;
+            s.eccCorrected += p.eccCorrected;
             faults_.record({fault::FaultKind::EccCorrectable, stackIdx,
                             cmd, attempt});
         }
@@ -1231,73 +1174,73 @@ MealibRuntime::resolveAttempts(std::uint64_t cmd, unsigned stackIdx,
             // The attempt ran to completion; the stack-side re-verify
             // pass is the end-to-end integrity check.
             if (integrityOn)
-                at.integrity += verify;
+                s.stackIntegrity += verify;
             const bool detected = p.silent && integrityOn;
             if (p.silent && !integrityOn) {
                 // Undetected silent corruption: the run "succeeds"
                 // carrying wrong data. Counted for the chaos harness;
                 // the functional results stay the clean ones (the
                 // fault model shapes cost, never values).
-                at.silentUndetected++;
+                s.silentUndetected++;
                 faults_.record({fault::FaultKind::SilentCorruption,
                                 stackIdx, cmd, attempt});
             }
             if (!detected) {
                 if (ckpt && kmax > 0)
                     commitUpTo(kmax);
-                at.success = true;
-                at.retries = attempt;
+                s.success = true;
+                es.retries = attempt;
                 if (base > 0.0) {
                     // The resumed attempt skipped the committed
                     // prefix; credit the span it never executed.
-                    at.penalty.seconds -= base * spanSeconds;
-                    at.penalty.joules -= base * accelJoules;
+                    es.faultPenalty.seconds -= base * spanSeconds;
+                    es.faultPenalty.joules -= base * accelJoules;
                 }
-                at.occupancySeconds = spanSeconds +
-                                      at.penalty.seconds +
-                                      at.integrity.seconds;
-                return at;
+                s.occupancySeconds = spanSeconds +
+                                     es.faultPenalty.seconds +
+                                     s.stackIntegrity.seconds;
+                return;
             }
             // Verification caught the corruption at end of attempt:
             // the whole attempt span is wasted, and its snapshots were
             // written but never commit — the corruption point is
             // unknown, so none of them can be trusted.
-            at.silentDetected++;
+            s.silentDetected++;
             faults_.record({fault::FaultKind::SilentCorruption,
                             stackIdx, cmd, attempt});
-            at.lastFault = fault::FaultKind::SilentCorruption;
-            at.penalty.seconds += spanSeconds * attemptFrac;
-            at.penalty.joules += accelJoules * attemptFrac;
+            s.lastFault = fault::FaultKind::SilentCorruption;
+            es.faultPenalty.seconds += spanSeconds * attemptFrac;
+            es.faultPenalty.joules += accelJoules * attemptFrac;
             if (ckpt) {
                 const std::uint64_t crossed = kmax - committed / ival;
                 for (std::uint64_t k = 0; k < crossed; ++k)
-                    at.integrity += snap;
-                at.checkpoints += crossed;
+                    s.stackIntegrity += snap;
+                es.checkpoints += crossed;
             }
         } else if (p.hang) {
             // DONE never arrives; the watchdog reclaims the stack.
             // Nothing executed, so no verify pass and no checkpoint
             // advances.
-            at.penalty.seconds += cfg_.watchdogSeconds;
-            acct_.watchdogFires++;
+            es.faultPenalty.seconds += cfg_.watchdogSeconds;
+            s.watchdogFires++;
             faults_.record({fault::FaultKind::CommandHang, stackIdx,
                             cmd, attempt});
-            at.lastFault = fault::FaultKind::CommandHang;
+            s.lastFault = fault::FaultKind::CommandHang;
         } else {
             // A transient fault killed the attempt partway through:
             // the attempt-span fraction already executed is wasted,
             // plus the fault's own detection / replay penalty.
-            at.penalty.seconds +=
+            es.faultPenalty.seconds +=
                 spanSeconds * attemptFrac * p.failFraction;
-            at.penalty.joules +=
+            es.faultPenalty.joules +=
                 accelJoules * attemptFrac * p.failFraction;
             if (p.failure == fault::FaultKind::LinkCrc)
-                at.penalty += mesh_.crcReplayCost(kCrcPacketBytes);
+                es.faultPenalty += mesh_.crcReplayCost(kCrcPacketBytes);
             else if (p.failure == fault::FaultKind::EccUncorrectable)
-                at.penalty.seconds +=
+                es.faultPenalty.seconds +=
                     st.eccUncorrectableDetectSeconds();
             faults_.record({p.failure, stackIdx, cmd, attempt});
-            at.lastFault = p.failure;
+            s.lastFault = p.failure;
             // The fault was *detected* at the failure point, so every
             // snapshot crossed before it is trusted and commits — the
             // next attempt resumes from the last of them.
@@ -1314,17 +1257,13 @@ MealibRuntime::resolveAttempts(std::uint64_t cmd, unsigned stackIdx,
             }
         }
         if (attempt >= cfg_.retry.maxRetries) {
-            at.success = false;
-            at.retries = cfg_.retry.maxRetries;
-            at.occupancySeconds =
-                at.penalty.seconds + at.integrity.seconds;
-            at.committedFraction =
-                comps ? static_cast<double>(committed) /
-                            static_cast<double>(comps)
-                      : 0.0;
-            return at;
+            s.success = false;
+            es.retries = cfg_.retry.maxRetries;
+            s.occupancySeconds =
+                es.faultPenalty.seconds + s.stackIntegrity.seconds;
+            return;
         }
-        at.penalty.seconds += backoff;
+        es.faultPenalty.seconds += backoff;
         backoff *= cfg_.retry.backoffMultiplier;
     }
 }
@@ -1332,87 +1271,67 @@ MealibRuntime::resolveAttempts(std::uint64_t cmd, unsigned stackIdx,
 Event
 MealibRuntime::submitError(Status status)
 {
-    auto state = std::make_shared<detail::EventState>();
-    state->id = nextEventId_++;
-    state->epoch = epoch_;
+    auto state = newEventState();
     state->waited = true;
     state->state = EventState::Failed;
     state->status = std::move(status);
     return Event(this, state);
 }
 
-host::KernelProfile
-MealibRuntime::fallbackProfile(const accel::ExecStats &es) const
+Cost
+MealibRuntime::chargeHostFallback(detail::EventState &state)
 {
     // The minimkl naive kernels the host falls back to: scalar
     // (1/8 of SIMD issue), single-threaded, cache-unfriendly streaming.
     host::KernelProfile p;
     p.name = "fault_fallback";
-    p.flops = es.flops;
-    p.bytesRead = 0.5 * es.bytesMoved;
-    p.bytesWritten = 0.5 * es.bytesMoved;
+    p.flops = state.stats.flops;
+    p.bytesRead = 0.5 * state.stats.bytesMoved;
+    p.bytesWritten = 0.5 * state.stats.bytesMoved;
     p.simdEff = 0.125;
     p.parallelFraction = 0.0;
     p.memEff = 0.5;
-    return p;
+    const Cost c = host_.run(p);
+    hostWork(c.seconds);
+    postEach(ledger_, [&](EnergyLedger &l) {
+        l.post("host", c, "fault_fallback");
+        l.attribute("host", c.joules);
+    });
+    state.stats.fellBack = true;
+    state.stats.total += c;
+    state.state = EventState::FellBack;
+    state.onHost = true;
+    state.finishSeconds = hostSeconds_;
+    state.waited = true;
+    // The host produced the results: its caches hold them dirty, so
+    // the written intervals are no longer clean-on-stack.
+    if (cfg_.residency.enabled)
+        residency_.invalidateWrites(state.intervals);
+    return c;
 }
 
 Event
-MealibRuntime::submitOnHost(Plan &plan, unsigned targetStack,
-                            unsigned retries)
+MealibRuntime::submitOnHost(Plan &plan, unsigned targetStack)
 {
     cmdIndex_++;
     // Functional results still come from the shared functional engine,
     // so fallback numerics are bit-identical to the accelerated path
     // (docs/FAULTS.md); only the *cost* is priced as host execution.
-    const std::uint8_t *img = mem_->raw(plan.descAddr, plan.descBytes);
-    accel::DescriptorProgram prog = accel::decode(img, plan.descBytes);
-    stacks_[targetStack]->acquire(dram::Owner::Accelerator);
-    accel::ExecStats es = layers_[targetStack]->execute(prog, *mem_);
-    stacks_[targetStack]->release(dram::Owner::Accelerator);
+    const accel::ExecStats es = executeFunctional(plan, targetStack);
+    auto state = newEventState();
+    state->stack = targetStack;
+    state->intervals = plan.intervals;
+    state->stats.compsExecuted = es.compsExecuted;
+    state->stats.passes = es.passes;
+    state->stats.bytesMoved = es.bytesMoved;
+    state->stats.flops = es.flops;
 
     // The host executes after every conflicting in-flight command.
-    double ready = hostSeconds_;
-    for (const PendingAccess &pa : pending_)
-        for (const AccessInterval &iv : plan.intervals)
-            if (iv.conflictsWith(pa.interval))
-                ready = std::max(ready, pa.finishSeconds);
-    hostWaitUntil(ready);
-
-    Cost c = host_.run(fallbackProfile(es));
-    hostWork(c.seconds);
-    acct_.host += c;
-    postLedger("host", c, "fault_fallback");
-    attributeLedger("host", c.joules);
-    acct_.fallbackSeconds += c.seconds;
-    acct_.fallbackCount++;
-    acct_.retryCount += retries;
-
-    accel::ExecStats hostStats;
-    hostStats.total = c;
-    hostStats.compsExecuted = es.compsExecuted;
-    hostStats.passes = es.passes;
-    hostStats.bytesMoved = es.bytesMoved;
-    hostStats.flops = es.flops;
-    hostStats.retries = retries;
-    hostStats.fellBack = true;
-
-    auto state = std::make_shared<detail::EventState>();
-    state->id = nextEventId_++;
-    state->stack = targetStack;
+    hostWaitUntil(hazardReady(plan.intervals, hostSeconds_));
+    const Cost c = chargeHostFallback(*state);
     state->submitSeconds = hostSeconds_;
     state->startSeconds = hostSeconds_ - c.seconds;
-    state->finishSeconds = hostSeconds_;
-    state->epoch = epoch_;
     state->spanSeconds = c.seconds;
-    state->intervals = plan.intervals;
-    state->stats = hostStats;
-    state->state = EventState::FellBack;
-    state->onHost = true;
-    state->waited = true;
-    // Host execution dirties the written intervals in host caches.
-    if (cfg_.residency.enabled)
-        residency_.invalidateWrites(plan.intervals);
     updateMakespan();
     return Event(this, state);
 }
@@ -1435,9 +1354,10 @@ MealibRuntime::noteFusion(std::uint64_t comps)
     if (comps <= 1)
         return;
     std::lock_guard<std::mutex> lock(mu_);
-    acct_.fusedPrograms++;
-    acct_.handshakesElided += comps - 1;
-    postLedger("reuse", Cost{}, "fused_program");
+    postEach(ledger_, [&](EnergyLedger &l) {
+        l.count("fused_programs");
+        l.count("handshakes_elided", comps - 1);
+    });
 }
 
 Cost
@@ -1445,23 +1365,65 @@ MealibRuntime::runOnHost(const host::KernelProfile &profile)
 {
     std::lock_guard<std::mutex> lock(mu_);
     Cost c = host_.run(profile);
-    acct_.host += c;
-    postLedger("host", c,
-                 profile.name.empty() ? "host_kernel" : profile.name);
-    attributeLedger("host", c.joules);
-    addFlopsLedger(profile.flops);
+    postEach(ledger_, [&](EnergyLedger &l) {
+        l.post("host", c,
+               profile.name.empty() ? "host_kernel" : profile.name);
+        l.attribute("host", c.joules);
+        l.addFlops(profile.flops);
+    });
     hostWork(c.seconds);
     updateMakespan();
     return c;
+}
+
+RuntimeAccounting
+MealibRuntime::accounting() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    RuntimeAccounting a;
+    a.host = ledger_.track("host");
+    a.accel = ledger_.track("accel");
+    a.invocation = ledger_.track("invocation");
+    a.integrity = ledger_.track("integrity");
+    for (const auto &[name, c] : ledger_.costByAccel()) {
+        a.timeByAccel.add(name, c.seconds);
+        a.energyByAccel.add(name, c.joules);
+    }
+    a.makespanSeconds = makespanSeconds_;
+    a.hostBusySeconds = hostBusySeconds_;
+    a.busyByStack = busyByStack_;
+    // Every fallback posts one host/fault_fallback event, so the event
+    // already holds the fallback count and host seconds.
+    const EnergyLedger::EventStat fallback =
+        ledger_.event("host/fault_fallback");
+    a.fallbackSeconds = fallback.cost.seconds;
+    a.fallbackCount = fallback.count;
+    a.retryCount = ledger_.counter("retries");
+    a.watchdogFires = ledger_.counter("watchdog_fires");
+    a.eccCorrected = ledger_.counter("ecc_corrected");
+    a.silentDetected = ledger_.counter("silent_detected");
+    a.silentUndetected = ledger_.counter("silent_undetected");
+    a.checkpointsTaken = ledger_.counter("checkpoints");
+    a.resumedFromCheckpoint = ledger_.counter("resumed");
+    a.quarantines = health_.quarantines();
+    a.readmissions = health_.readmissions();
+    a.flushBytesElided = ledger_.counter("flush_bytes_elided");
+    a.verifyBytesElided = ledger_.counter("verify_bytes_elided");
+    a.handshakesElided = ledger_.counter("handshakes_elided");
+    a.fusedPrograms = ledger_.counter("fused_programs");
+    a.planImageReuses = ledger_.counter("plan_image_reuses");
+    return a;
 }
 
 void
 MealibRuntime::resetAccounting()
 {
     std::lock_guard<std::mutex> lock(mu_);
-    acct_ = RuntimeAccounting{};
     ledger_.reset();
     hostSeconds_ = 0.0;
+    hostBusySeconds_ = 0.0;
+    makespanSeconds_ = 0.0;
+    busyByStack_ = Breakdown{};
     pending_.clear();
     inflight_.clear();
     for (CommandQueue &q : queues_)
@@ -1481,7 +1443,8 @@ const accel::ExecStats &
 Event::wait()
 {
     fatalIf(!valid(), "Event::wait: invalid event");
-    return rt_->eventWait(state_);
+    std::lock_guard<std::mutex> lock(rt_->mu_);
+    return rt_->eventWaitLocked(state_);
 }
 
 } // namespace mealib::runtime

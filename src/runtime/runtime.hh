@@ -63,11 +63,11 @@ namespace mealib::runtime {
 /**
  * Bind @p ledger as the calling thread's session ledger and return the
  * previous binding (null if none; null unbinds). While bound, every
- * cost the runtime posts to its aggregate ledger on this thread is
- * mirrored into @p ledger too — same sites, same order, same values —
- * so a session's ledger holds exactly its own commands' share of the
- * aggregate accounting. `mealib::Session::bind()` wraps this in an
- * RAII guard; unbound threads change nothing.
+ * cost, attribution and counter the runtime posts to its aggregate
+ * ledger on this thread is posted to @p ledger too — same sites, same
+ * order, same values — so a session's ledger holds exactly its own
+ * commands' share of the aggregate. `mealib::Session::bind()` wraps
+ * this in an RAII guard; unbound threads change nothing.
  */
 EnergyLedger *bindSessionLedger(EnergyLedger *ledger);
 
@@ -154,7 +154,13 @@ struct RuntimeConfig
 /** Opaque plan handle (the acc_plan of Listing 2). */
 using AccPlanHandle = std::uint64_t;
 
-/** Cumulative accounting for the Fig. 13/14 style breakdowns. */
+/**
+ * Cumulative accounting for the Fig. 13/14 style breakdowns: a
+ * read-only view MealibRuntime::accounting() assembles from the
+ * runtime's ledger (tracks, per-accelerator attribution, counters),
+ * its schedule (makespan, host busy time, per-stack busy time) and its
+ * health monitor. Nothing accumulates into it.
+ */
 struct RuntimeAccounting
 {
     Cost host;        //!< host-executed (compute-bounded) work
@@ -237,7 +243,7 @@ struct RuntimeAccounting
  * Thread-safe at the submit/queue/residency/health boundaries: every
  * mutating entry point (and every scalar state reader) serializes on
  * one internal mutex, so N sessions on N threads may share a runtime
- * (docs/SESSIONS.md). Reference-returning views — accounting(),
+ * (docs/SESSIONS.md). Reference-returning views —
  * ledger(), residency(), faultModel(), journal(), healthMonitor(),
  * queue() — hand out unsynchronized state: read them only at
  * quiescence (no concurrent submissions). Lock order: a session's
@@ -395,16 +401,17 @@ class MealibRuntime
      * host track advances, overlapping with in-flight commands. */
     Cost runOnHost(const host::KernelProfile &profile);
 
-    /** Accumulated cost ledger. */
-    const RuntimeAccounting &accounting() const { return acct_; }
+    /** Snapshot of the accumulated costs, counters and schedule: a
+     * view of ledger(), the timeline and the health monitor, assembled
+     * under the runtime lock. */
+    RuntimeAccounting accounting() const;
 
     /**
-     * Cross-layer energy ledger (docs/MODEL.md): posted at exactly the
-     * points accounting() accumulates, so ledger().total() equals
-     * accounting().total() identically; additionally attributes energy
-     * to physical components (dram/logic/noc/link/fault/host) and
-     * aggregates per-label events. External layers (the dispatcher,
-     * the apps) may post their own entries.
+     * Cross-layer energy ledger (docs/MODEL.md): the runtime's only
+     * cost store. It holds the host/accel/invocation/integrity tracks,
+     * energy by physical component (dram/logic/noc/link/fault/host),
+     * cost by accelerator, the runtime counters and per-label events.
+     * External layers (the dispatcher) may note their own events.
      */
     EnergyLedger &ledger() { return ledger_; }
     const EnergyLedger &ledger() const { return ledger_; }
@@ -492,22 +499,19 @@ class MealibRuntime
     /** Home stack of a program: where its first output operand lives. */
     unsigned homeStackOf(const accel::DescriptorProgram &prog) const;
 
+    /** The plan behind @p handle; fatal (naming @p who) if unknown. */
+    Plan &planOf(AccPlanHandle handle, const char *who);
+
     // --- locked implementations (mu_ held by the public wrappers) ------
 
-    Event accSubmitLocked(AccPlanHandle handle);
-    Event accSubmitOnLocked(AccPlanHandle handle, unsigned stackIdx);
+    /** Per-command prologue, run once by each public submit entry
+     * point: fire a due scripted stack failure and promote quarantined
+     * stacks whose cooldown has elapsed. */
+    void beginCommandLocked();
+    Event accSubmitOnLocked(Plan &plan, unsigned stackIdx);
     void failStackLocked(unsigned stackIdx);
     const accel::ExecStats &
     eventWaitLocked(const std::shared_ptr<detail::EventState> &state);
-
-    // --- session-ledger mirroring (docs/SESSIONS.md) -------------------
-
-    /** Post to the aggregate ledger and mirror into the calling
-     * thread's bound session ledger (if any). */
-    void postLedger(const std::string &track, const Cost &c,
-                    const std::string &label = "");
-    void attributeLedger(const std::string &component, double joules);
-    void addFlopsLedger(double flops);
 
     /** Advance the host track doing work (counts as busy time). */
     void hostWork(double seconds);
@@ -518,51 +522,58 @@ class MealibRuntime
     /** Fold the current timeline frontier into the makespan. */
     void updateMakespan();
 
-    /** Event::wait() implementation. */
-    const accel::ExecStats &
-    eventWait(const std::shared_ptr<detail::EventState> &state);
+    /** Earliest time >= @p from at which every in-flight access that
+     * conflicts with @p intervals has finished. */
+    double hazardReady(const std::vector<AccessInterval> &intervals,
+                       double from) const;
+
+    /** A fresh event record in the current accounting epoch. */
+    std::shared_ptr<detail::EventState> newEventState();
+
+    // --- submit stages (docs/RUNTIME.md) -------------------------------
+
+    /** One accelerator command as it flows through the submit stages
+     * (defined in runtime.cc). */
+    struct Submission;
+
+    /** Coherence stage: the flush shrunk to the host-dirtied share of
+     * the read set, the handshake, and the verification footprint. */
+    void coherence(Submission &s) const;
+
+    /** Functional execute stage: decode, run on @p stackIdx's layer,
+     * check read-only operands survived, add the remote-link penalty.
+     * Shared by the accelerator and the host-fallback paths. */
+    accel::ExecStats executeFunctional(const Plan &plan,
+                                       unsigned stackIdx);
+
+    /** Attempts stage: roll the retry ladder of @p s (a single clean
+     * attempt when injection is off). */
+    void resolveAttempts(Submission &s);
+
+    /** Health stage: feed the outcome to the monitor, apply quarantine
+     * or re-admission, and @return a stack to fail (kNone if none). */
+    unsigned recordHealth(const Submission &s);
+
+    /** Post stage: write the command's tracks, attributions, flops and
+     * counters to the runtime ledger and the bound session ledger. */
+    void post(const Submission &s);
+
+    /** Timeline stage: place the command on its stack's queue, resolve
+     * its terminal state, then fail @p strikeOut (if any). */
+    Event place(Submission &s, unsigned strikeOut);
 
     // --- fault handling (docs/FAULTS.md) -------------------------------
-
-    /** Fire the scripted stack failure once its command index passes. */
-    void applyScriptedFailure();
 
     /** Terminal FAILED event for an invalid submission; not enqueued. */
     Event submitError(Status status);
 
-    /** Host-side re-execution profile of a plan whose accelerator run
-     * produced @p es (the minimkl naive-kernel cost model). */
-    host::KernelProfile fallbackProfile(const accel::ExecStats &es) const;
+    /** Re-execute @p state's command on the host track (the minimkl
+     * naive-kernel cost model priced from its stats), post the cost
+     * and complete the event as FELL_BACK. @return the host cost. */
+    Cost chargeHostFallback(detail::EventState &state);
 
-    /** Execute @p plan entirely on the host track (no healthy stack).
-     * @p cmd is the global submission index, @p retries the attempts
-     * already burned on an accelerator before falling back. */
-    Event submitOnHost(Plan &plan, unsigned targetStack,
-                       unsigned retries);
-
-    /** Resolve the retry ladder of command @p cmd on @p stackIdx.
-     * On success, returns the total stack occupancy; on exhaustion,
-     * occupancy covers the failed attempts and @p outLastFault is set. */
-    struct Attempts
-    {
-        bool success = true;
-        unsigned retries = 0;
-        double occupancySeconds = 0.0; //!< stack time incl. clean span
-        Cost penalty;                  //!< extra over the clean cost
-        fault::FaultKind lastFault = fault::FaultKind::None;
-        Cost integrity;       //!< verify + journal cost (in occupancy)
-        std::uint64_t checkpoints = 0; //!< snapshots written
-        bool resumed = false; //!< some attempt started mid-span
-        std::uint64_t silentDetected = 0;
-        std::uint64_t silentUndetected = 0;
-        /** Span fraction covered by a committed checkpoint when the
-         * ladder ends (replay journal position on exhaustion). */
-        double committedFraction = 0.0;
-    };
-    Attempts resolveAttempts(std::uint64_t cmd, unsigned stackIdx,
-                             double spanSeconds, double accelJoules,
-                             const Plan &plan,
-                             std::uint64_t effVerifyBytes);
+    /** Execute @p plan entirely on the host track (no healthy stack). */
+    Event submitOnHost(Plan &plan, unsigned targetStack);
 
     /** Whether @p plan is checkpointed when running on the runtime's
      * current configuration. */
@@ -571,11 +582,8 @@ class MealibRuntime
     /** Modeled cost of writing one checkpoint snapshot of @p plan. */
     Cost snapshotCost(const Plan &plan) const;
 
-    /** Health-monitor bookkeeping for one resolved command: feed the
-     * outcome, apply quarantine/re-admission to the scheduler, and
-     * @return a stack to permanently fail (kNone if none). */
-    unsigned recordHealth(unsigned stackIdx, std::uint64_t cmd,
-                          bool faulted);
+    /** Drop every residency record on @p stackIdx (quarantine, death). */
+    void dropStackResidency(unsigned stackIdx);
 
     /** One memoized descriptor image in the command space. */
     struct CachedImage
@@ -597,13 +605,15 @@ class MealibRuntime
     std::map<std::uint64_t, CachedImage> images_; //!< hash -> image
     std::uint64_t imageUseTick_ = 0;
     AccPlanHandle nextHandle_ = 1;
-    RuntimeAccounting acct_;
-    EnergyLedger ledger_;
+    EnergyLedger ledger_; //!< every posted cost and counter
 
     // --- async timeline state (reset by resetAccounting) ---------------
     std::unique_ptr<Scheduler> sched_;
     std::vector<CommandQueue> queues_;
     double hostSeconds_ = 0.0;
+    double hostBusySeconds_ = 0.0; //!< RuntimeAccounting::hostBusySeconds
+    double makespanSeconds_ = 0.0; //!< RuntimeAccounting::makespanSeconds
+    Breakdown busyByStack_;        //!< RuntimeAccounting::busyByStack
     std::vector<PendingAccess> pending_;
     std::vector<std::shared_ptr<detail::EventState>> inflight_;
     std::uint64_t nextEventId_ = 1;

@@ -14,8 +14,8 @@
  * Unmodified MKL-signature callers reach their session through
  * thread binding: Session::bind() returns an RAII guard that routes
  * the calling thread's cblas_/fftwf_/mkl_ calls (and dispatch::ops)
- * through this session's dispatcher and mirrors runtime cost posts
- * into this session's ledger. N threads bound to N sessions share one
+ * through this session's dispatcher and posts the runtime's costs
+ * and counters to this session's ledger too. N threads bound to N sessions share one
  * runtime without racing on cost models, telemetry or ledgers; an
  * unbound thread keeps the legacy behaviour (Dispatcher::global(),
  * aggregate ledger only) bit for bit.
@@ -60,7 +60,7 @@ struct SessionOptions
 /**
  * RAII thread binding: while alive, the constructing thread's
  * MKL-compatible calls route through the session's dispatcher and the
- * runtime mirrors its cost posts into the session's ledger. Restores
+ * runtime posts its costs to the session's ledger as well. Restores
  * the previous bindings on destruction (bindings nest). Move-only;
  * must be destroyed on the thread that created it.
  */

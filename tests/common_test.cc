@@ -251,6 +251,24 @@ TEST(Ledger, AttributionNeverChangesTotal)
     EXPECT_DOUBLE_EQ(l.energyByComponent().get("logic"), 3.0);
 }
 
+TEST(Ledger, CountersAndAccelAttributionNeverChangeTotal)
+{
+    EnergyLedger l;
+    l.post("accel", {1.0, 10.0});
+    l.attributeAccel("DOT", {0.75, 6.0});
+    l.attributeAccel("DOT", {0.25, 4.0});
+    l.count("retries", 2);
+    l.count("retries");
+    l.count("fallbacks", 0); // a zero bump records nothing
+    EXPECT_DOUBLE_EQ(l.total().seconds, 1.0);
+    EXPECT_DOUBLE_EQ(l.total().joules, 10.0);
+    EXPECT_DOUBLE_EQ(l.costByAccel().at("DOT").seconds, 1.0);
+    EXPECT_DOUBLE_EQ(l.costByAccel().at("DOT").joules, 10.0);
+    EXPECT_EQ(l.counter("retries"), 3u);
+    EXPECT_EQ(l.counter("fallbacks"), 0u);
+    EXPECT_EQ(l.counters().size(), 1u);
+}
+
 TEST(Ledger, NotesAreZeroCostEvents)
 {
     EnergyLedger l;
@@ -280,12 +298,16 @@ TEST(Ledger, ResetClearsEverything)
     EnergyLedger l;
     l.post("host", {1.0, 1.0}, "k");
     l.attribute("host", 1.0);
+    l.attributeAccel("AXPY", {1.0, 1.0});
+    l.count("retries");
     l.addFlops(1e9);
     l.reset();
     EXPECT_DOUBLE_EQ(l.total().joules, 0.0);
     EXPECT_TRUE(l.tracks().empty());
     EXPECT_TRUE(l.events().empty());
     EXPECT_TRUE(l.energyByComponent().parts().empty());
+    EXPECT_TRUE(l.costByAccel().empty());
+    EXPECT_TRUE(l.counters().empty());
     EXPECT_DOUBLE_EQ(l.flops(), 0.0);
 }
 
@@ -295,7 +317,12 @@ TEST(Ledger, JsonCarriesMachineTracksAndComponents)
     l.post("accel", {0.25, 1.5}, "execute");
     l.attribute("dram", 1.0);
     l.note("dispatch/dot/host");
+    l.attributeAccel("DOT", {0.25, 1.5});
+    l.count("retries", 3);
     std::string j = l.toJson("haswell4770k");
+    EXPECT_NE(j.find("\"cost_by_accel\": {\n    \"DOT\""),
+              std::string::npos);
+    EXPECT_NE(j.find("\"retries\": 3"), std::string::npos);
     EXPECT_NE(j.find("\"machine\": \"haswell4770k\""),
               std::string::npos);
     EXPECT_NE(j.find("\"accel\""), std::string::npos);

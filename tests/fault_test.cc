@@ -386,6 +386,70 @@ TEST(FaultRecovery, CorrectedEccIsLatencyOnly)
     EXPECT_EQ(rt.accounting().retryCount, 0u);
 }
 
+TEST(FaultLadder, NeverFiringFaultsMatchFaultFree)
+{
+    // Injection armed at a rate that never fires walks every command
+    // through the same retry ladder as injection off: with verification
+    // and checkpointing on, tracks, counters, journal entries and event
+    // states must match bit for bit.
+    RuntimeConfig cfg = baseConfig();
+    cfg.integrity.verifyTransfers = true;
+    cfg.checkpoint.intervalComps = 64;
+    RuntimeConfig armed = cfg;
+    armed.fault.seed = 5;
+    armed.fault.eccCorrectableRate = 1e-300;
+    ASSERT_TRUE(armed.fault.enabled());
+
+    auto submitAll = [](MealibRuntime &rt, const Operands &ops) {
+        std::vector<Event> events;
+        for (unsigned s = 0; s < rt.numStacks(); ++s) {
+            events.push_back(
+                rt.accSubmit(planRerunSafeAxpy(rt, ops.x[s], ops.y[s])));
+            events.push_back(
+                rt.accSubmit(planLoopedAxpy(rt, ops.x[s], ops.y[s])));
+        }
+        rt.waitAll();
+        return events;
+    };
+    MealibRuntime off(cfg);
+    const std::vector<Event> evOff = submitAll(off, fillOperands(off));
+    MealibRuntime on(armed);
+    const std::vector<Event> evOn = submitAll(on, fillOperands(on));
+
+    EXPECT_TRUE(on.faultModel().history().empty());
+    expectSameLedger(off.accounting(), on.accounting());
+    ASSERT_EQ(off.ledger().tracks().size(), on.ledger().tracks().size());
+    for (const auto &[name, c] : off.ledger().tracks()) {
+        EXPECT_EQ(c.seconds, on.ledger().track(name).seconds) << name;
+        EXPECT_EQ(c.joules, on.ledger().track(name).joules) << name;
+    }
+    EXPECT_FALSE(off.ledger().counters().empty());
+    EXPECT_EQ(off.ledger().counters(), on.ledger().counters());
+
+    const std::vector<CheckpointRecord> &a = off.journal().log();
+    const std::vector<CheckpointRecord> &b = on.journal().log();
+    ASSERT_FALSE(a.empty());
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].command, b[i].command);
+        EXPECT_EQ(a[i].stack, b[i].stack);
+        EXPECT_EQ(a[i].comps, b[i].comps);
+        EXPECT_EQ(a[i].fraction, b[i].fraction);
+        EXPECT_EQ(a[i].bytes, b[i].bytes);
+    }
+    ASSERT_EQ(evOff.size(), evOn.size());
+    for (std::size_t i = 0; i < evOff.size(); ++i) {
+        EXPECT_EQ(evOff[i].state(), evOn[i].state());
+        EXPECT_EQ(evOff[i].stack(), evOn[i].stack());
+        EXPECT_EQ(evOff[i].startSeconds(), evOn[i].startSeconds());
+        EXPECT_EQ(evOff[i].finishSeconds(), evOn[i].finishSeconds());
+        EXPECT_EQ(evOff[i].stats().total.seconds,
+                  evOn[i].stats().total.seconds);
+        EXPECT_EQ(evOff[i].stats().total.joules,
+                  evOn[i].stats().total.joules);
+    }
+}
+
 // --- end-to-end integrity ---------------------------------------------
 
 TEST(Integrity, SilentCorruptionCaughtAndRetried)
@@ -443,8 +507,7 @@ TEST(Integrity, SilentCorruptionMissedWithoutVerification)
 TEST(Integrity, VerificationPricedOnIntegrityTrack)
 {
     // Verification with no faults injected: a pure tax, priced from
-    // the machine profile, posted to the ledger's `integrity` track,
-    // and mirrored into the accounting so the two totals stay equal.
+    // the machine profile and posted to the ledger's `integrity` track.
     RuntimeConfig cfg = baseConfig();
     cfg.integrity.verifyTransfers = true;
     MealibRuntime rt(cfg);
@@ -454,12 +517,6 @@ TEST(Integrity, VerificationPricedOnIntegrityTrack)
     const RuntimeAccounting &acct = rt.accounting();
     EXPECT_GT(acct.integrity.seconds, 0.0);
     EXPECT_GT(acct.integrity.joules, 0.0);
-    EXPECT_EQ(rt.ledger().track("integrity").seconds,
-              acct.integrity.seconds);
-    EXPECT_EQ(rt.ledger().track("integrity").joules,
-              acct.integrity.joules);
-    EXPECT_DOUBLE_EQ(rt.ledger().total().seconds, acct.total().seconds);
-    EXPECT_DOUBLE_EQ(rt.ledger().total().joules, acct.total().joules);
 
     // Verification only reads: numerics match an unverified run.
     MealibRuntime plain(baseConfig());

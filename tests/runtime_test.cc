@@ -462,10 +462,11 @@ runLedgerAxpy(MealibRuntime &rt)
 
 } // namespace
 
-TEST(Ledger, TotalsMirrorAccountingExactly)
+TEST(Ledger, ComponentAttributionPartitionsTotal)
 {
-    // The runtime posts to its ledger at exactly the points it updates
-    // RuntimeAccounting, so the two views of the run agree bit for bit.
+    // The component attribution (dram/logic/noc/host/invocation/...)
+    // partitions the joules an accelerator command and a host kernel
+    // posted to the runtime's ledger.
     MealibRuntime rt(smallConfig());
     runLedgerAxpy(rt);
 
@@ -476,22 +477,8 @@ TEST(Ledger, TotalsMirrorAccountingExactly)
     prof.bytesWritten = 1 << 22;
     rt.runOnHost(prof);
 
-    const Cost acct = rt.accounting().total();
     const Cost ledger = rt.ledger().total();
-    EXPECT_DOUBLE_EQ(ledger.seconds, acct.seconds);
-    EXPECT_DOUBLE_EQ(ledger.joules, acct.joules);
     EXPECT_GT(ledger.joules, 0.0);
-
-    // Track view: accel + invocation + host partition the total.
-    EXPECT_DOUBLE_EQ(rt.ledger().track("accel").seconds,
-                     rt.accounting().accel.seconds);
-    EXPECT_DOUBLE_EQ(rt.ledger().track("host").joules,
-                     rt.accounting().host.joules);
-    EXPECT_DOUBLE_EQ(rt.ledger().track("invocation").joules,
-                     rt.accounting().invocation.joules);
-
-    // Component attribution (dram/logic/noc/host/invocation/...) is a
-    // partition of the same joules.
     double attributed = 0.0;
     for (const auto &[name, j] :
          rt.ledger().energyByComponent().parts())
@@ -514,7 +501,7 @@ TEST(Ledger, FaultFallbackPostsToTheHostTrack)
 {
     // Every command hangs with a zero retry budget: the work completes
     // on the host and the recovery cost lands on the ledger's host
-    // track, keeping the ledger == accounting identity intact.
+    // track as host/fault_fallback events.
     RuntimeConfig cfg = smallConfig();
     cfg.fault.seed = 7;
     cfg.fault.hangRate = 1.0;
@@ -523,10 +510,6 @@ TEST(Ledger, FaultFallbackPostsToTheHostTrack)
     runLedgerAxpy(rt);
 
     ASSERT_GT(rt.accounting().fallbackCount, 0u);
-    const Cost acct = rt.accounting().total();
-    const Cost ledger = rt.ledger().total();
-    EXPECT_DOUBLE_EQ(ledger.seconds, acct.seconds);
-    EXPECT_DOUBLE_EQ(ledger.joules, acct.joules);
     auto ev = rt.ledger().events().find("host/fault_fallback");
     ASSERT_NE(ev, rt.ledger().events().end());
     EXPECT_GE(ev->second.count, 1u);

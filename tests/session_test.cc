@@ -6,6 +6,7 @@
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -135,7 +136,9 @@ TEST(SessionLedger, SingleSessionMirrorsAccountingExactly)
 TEST(SessionLedger, NSessionLedgersSumToAggregate)
 {
     constexpr unsigned kClients = 4;
-    runtime::MealibRuntime rt(testConfig());
+    runtime::RuntimeConfig cfg = testConfig();
+    cfg.residency.enabled = true; // moves the elision counters
+    runtime::MealibRuntime rt(cfg);
     std::vector<std::unique_ptr<Session>> sessions;
     for (unsigned i = 0; i < kClients; ++i)
         sessions.push_back(std::make_unique<Session>(rt));
@@ -160,6 +163,15 @@ TEST(SessionLedger, NSessionLedgersSumToAggregate)
     EXPECT_NEAR(sum.seconds, agg.seconds,
                 1e-9 * std::abs(agg.seconds));
     EXPECT_NEAR(sum.joules, agg.joules, 1e-9 * std::abs(agg.joules));
+
+    // Counters are integers: the sessions' counters partition the
+    // aggregate's exactly.
+    std::map<std::string, std::uint64_t> counterSum;
+    for (auto &s : sessions)
+        for (const auto &[name, n] : s->ledger().counters())
+            counterSum[name] += n;
+    EXPECT_FALSE(rt.ledger().counters().empty());
+    EXPECT_EQ(counterSum, rt.ledger().counters());
 }
 
 // --- concurrency torture -----------------------------------------------
