@@ -67,9 +67,9 @@ struct Options
 };
 
 /**
- * SIMD levels to sweep by default: the pinned scalar baseline plus the
- * best level this machine supports (collapsed to scalar-only when no
- * vector backend is available).
+ * SIMD levels to sweep by default: the scalar (baseline-ISA) level plus
+ * the best level this machine supports (collapsed to scalar-only when
+ * no wider backend is available).
  */
 std::vector<simd::SimdLevel>
 defaultSimdSweep()
@@ -354,8 +354,8 @@ outputDigest(std::int64_t n, const std::vector<float> &x,
  * Bit-reproducibility probe. Two pins:
  *  - per level, the deterministic reductions must return identical bits
  *    for every thread count and across repeated runs;
- *  - every non-scalar level must produce the same output digest (the
- *    fixed-width virtual vectors make sse4/avx2/avx512 bit-identical).
+ *  - every level, scalar included, must produce the same output digest
+ *    (the fixed-width virtual vectors make all levels bit-identical).
  * @return true when every sweep agrees.
  */
 bool
@@ -367,8 +367,8 @@ checkDeterminism(const Options &opt, bench::JsonWriter &json)
 
     bool threadsOk = true;
     bool crossIsaOk = true;
-    std::uint64_t vectorDigest = 0;
-    bool haveVectorDigest = false;
+    std::uint64_t refDigest = 0;
+    bool haveRefDigest = false;
     for (simd::SimdLevel level : simd::availableLevels()) {
         kernelTuning().simd = level;
         kernelTuning().numThreads = 1;
@@ -388,17 +388,15 @@ checkDeterminism(const Options &opt, bench::JsonWriter &json)
                     std::memcmp(&s, &asumRef, sizeof(float)) == 0;
             }
             std::uint64_t digest = outputDigest(n, x, y);
-            if (level != simd::SimdLevel::Scalar) {
-                if (!haveVectorDigest) {
-                    vectorDigest = digest;
-                    haveVectorDigest = true;
-                } else if (digest != vectorDigest) {
-                    crossIsaOk = false;
-                    std::fprintf(stderr,
-                                 "cross-ISA digest mismatch at %s x %d "
-                                 "threads\n",
-                                 simd::name(level), threads);
-                }
+            if (!haveRefDigest) {
+                refDigest = digest;
+                haveRefDigest = true;
+            } else if (digest != refDigest) {
+                crossIsaOk = false;
+                std::fprintf(stderr,
+                             "cross-ISA digest mismatch at %s x %d "
+                             "threads\n",
+                             simd::name(level), threads);
             }
         }
     }
@@ -514,7 +512,7 @@ main(int argc, char **argv)
 
     table.print();
     std::printf("reductions bit-identical across threads and "
-                "non-scalar ISA levels: %s\n",
+                "ISA levels: %s\n",
                 deterministic ? "yes" : "NO");
 
     if (!opt.jsonPath.empty()) {

@@ -35,13 +35,6 @@ KernelTuning::fromEnv()
     t.numThreads = static_cast<int>(
         envInt64("MEALIB_NUM_THREADS", static_cast<std::int64_t>(hw), 1,
                  ThreadPool::kMaxWorkers + 1));
-    t.parallelCutoff =
-        envInt64("MEALIB_PARALLEL_CUTOFF", t.parallelCutoff, 1,
-                 std::int64_t{1} << 40);
-    t.reduceChunk = envInt64("MEALIB_REDUCE_CHUNK", t.reduceChunk, 1,
-                             std::int64_t{1} << 30);
-    t.tile = envInt64("MEALIB_TILE", t.tile, 4, 4096);
-    t.gemmBlock = envInt64("MEALIB_GEMM_BLOCK", t.gemmBlock, 4, 4096);
     if (const char *s = std::getenv("MEALIB_SIMD"); s != nullptr && *s) {
         simd::SimdLevel level;
         if (simd::parseLevel(s, &level))

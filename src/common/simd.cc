@@ -6,6 +6,9 @@
 
 namespace mealib::simd {
 
+namespace generic {
+const Kernels &table();
+}
 #if defined(MEALIB_SIMD_X86_BACKENDS)
 namespace sse4 {
 const Kernels &table();
@@ -98,24 +101,24 @@ std::vector<SimdLevel> availableLevels()
     return levels;
 }
 
-const Kernels *tableFor(SimdLevel level)
+const Kernels &tableFor(SimdLevel level)
 {
     switch (resolveLevel(level)) {
 #if defined(MEALIB_SIMD_X86_BACKENDS)
     case SimdLevel::Sse4:
-        return &sse4::table();
+        return sse4::table();
     case SimdLevel::Avx2:
-        return &avx2::table();
+        return avx2::table();
 #if defined(MEALIB_HAVE_AVX512_BACKEND)
     case SimdLevel::Avx512:
-        return &avx512::table();
+        return avx512::table();
 #endif
 #endif
     default:
-        return nullptr;
+        return generic::table();
     }
 }
 
-const Kernels *active() { return tableFor(kernelTuning().simd); }
+const Kernels &active() { return tableFor(kernelTuning().simd); }
 
 } // namespace mealib::simd

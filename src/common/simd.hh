@@ -6,23 +6,19 @@
  * vector machine: 8-lane f32 vectors for maps, 8-lane f64 accumulators
  * for reductions, and 4-lane cfloat vectors for complex work. One
  * generic implementation (simd_backend.inc, plain compiler vector
- * extensions) is compiled once per ISA level — SSE4.2, AVX2 and
- * (compiler permitting) AVX-512 — each translation unit pinned to
- * `-march=x86-64 -m<isa> -O3 -ffp-contract=off`, and the best table the
+ * extensions) is compiled once per ISA level: the baseline ISA for the
+ * scalar level (`-march=x86-64` on x86, the target default elsewhere),
+ * and on x86 also SSE4.2, AVX2 and (compiler permitting) AVX-512, each
+ * with `-O3 -ffp-contract=off -fno-tree-vectorize`. The best table the
  * CPU supports is selected at startup via cpuid.
  *
- * Determinism contract (see docs/KERNELS.md):
- *
- *  - `MEALIB_SIMD=scalar` bypasses the tables entirely: the kernel
- *    files keep their legacy loops inline, so scalar output is
- *    bit-for-bit identical to the pre-SIMD library under any build
- *    flags (the legacy pin).
- *  - Every vector level executes the *same* generic source with the
- *    same fixed 8-lane layout (element i lives in lane i mod 8) and
- *    the same fixed-order lane-combine trees, with FP contraction off,
- *    so sse4/avx2/avx512 produce bit-identical results to each other —
- *    for any thread count, since the deterministicReduce chunk tree is
- *    unchanged and lanes are re-seeded per chunk (the fixed-width pin).
+ * Determinism contract (see docs/KERNELS.md): every level executes the
+ * *same* generic source with the same fixed 8-lane layout (element i
+ * lives in lane i mod 8) and the same fixed-order lane-combine trees,
+ * with FP contraction and auto-vectorization off, so all levels
+ * produce bit-identical results to each other — for any thread count,
+ * since the deterministicReduce chunk tree is unchanged and lanes are
+ * re-seeded per chunk. The level selects speed, never bits.
  *
  * Selection: `MEALIB_SIMD=scalar|sse4|avx2|avx512|auto` (default auto)
  * is read into KernelTuning once at startup and can be overridden at
@@ -41,7 +37,7 @@ namespace mealib::simd {
 /** ISA levels of the virtual-vector backends, in capability order. */
 enum class SimdLevel : int
 {
-    Scalar = 0, //!< legacy loops inline in the kernel files
+    Scalar = 0, //!< baseline ISA (x86-64 SSE2, or the target default)
     Sse4 = 1,   //!< 128-bit vectors (SSE4.2)
     Avx2 = 2,   //!< 256-bit vectors (AVX2)
     Avx512 = 3, //!< 512-bit vectors (AVX-512 F/VL/DQ)
@@ -66,7 +62,7 @@ SimdLevel resolveLevel(SimdLevel request);
 /** The level the kernels run at right now (kernelTuning().simd). */
 SimdLevel activeLevel();
 
-/** Scalar plus every vector level this process can actually run. */
+/** Every level this process can actually run, scalar first. */
 std::vector<SimdLevel> availableLevels();
 
 /**
@@ -78,7 +74,7 @@ std::vector<SimdLevel> availableLevels();
  */
 struct Kernels
 {
-    // --- f32 maps (bit-identical to the legacy scalar ops) -----------
+    // --- f32 maps (elementwise: bit-identical to a plain loop) -------
     /** y[i] += a * x[i] */
     void (*saxpy)(std::int64_t n, float a, const float *x, float *y);
     /** y[i] = a * x[i] + b * y[i] */
@@ -120,29 +116,25 @@ struct Kernels
     /**
      * FFT butterfly over s interleaved complex elements:
      * ya[q] = xa[q] + xb[q]; yb[q] = (xa[q] - xb[q]) * (wr + i*wi).
-     * Same elementwise ops as the legacy loop (bit-identical).
+     * Same elementwise ops as a plain complex loop (bit-identical).
      */
     void (*fftButterfly)(std::int64_t s, const float *xa, const float *xb,
                          float *ya, float *yb, float wr, float wi);
     /**
      * Transposing tile copy: b[j*ldb + i] = alpha * a[i*lda + j] for
      * i < rows, j < cols (8x8 in-register micro blocks, scalar edges;
-     * bit-identical to the legacy elementwise loop).
+     * bit-identical to the elementwise loop).
      */
     void (*somatTile)(std::int64_t rows, std::int64_t cols, float alpha,
                       const float *a, std::int64_t lda, float *b,
                       std::int64_t ldb);
 };
 
-/** Table for @p level; nullptr for Scalar or an unavailable level. */
-const Kernels *tableFor(SimdLevel level);
+/** Table for @p level, clamped to what this process can run. */
+const Kernels &tableFor(SimdLevel level);
 
-/**
- * The active table, or nullptr when running at the scalar level —
- * callers branch to their legacy inline loops on nullptr. Resolve once
- * per kernel entry, not per chunk.
- */
-const Kernels *active();
+/** The active table. Resolve once per kernel entry, not per chunk. */
+const Kernels &active();
 
 } // namespace mealib::simd
 

@@ -98,27 +98,12 @@ RuntimeBackend::execute(const OpDesc &desc)
     if (Status st = mapCall(desc, &call); !st.ok())
         return st;
 
-    if (window_ <= 1) {
-        // Unfused: one program per call, exactly the legacy path.
-        accel::DescriptorProgram prog;
-        if (desc.loop.iterations() > 1)
-            prog.addLoop(desc.loop, 2);
-        prog.addComp(call);
-        prog.addPassEnd();
-
-        runtime::AccPlanHandle plan = rt_.accPlan(prog);
-        runtime::Event ev = rt_.accSubmit(plan);
-        ev.wait();
-        Status st = completed(ev.state()) ? Status() : ev.status();
-        rt_.accDestroy(plan);
-        return st;
-    }
-
-    // Fused: buffer the call; flush when the home stack changes or the
-    // window fills. A buffered call reports success optimistically —
-    // its functional result is guaranteed (computed eagerly at flush),
-    // only the modeled fault outcome is folded into the flush that
-    // carries it.
+    // Buffer the call; flush when the home stack changes or the window
+    // fills (a window of 1 flushes every call as its own one-COMP
+    // program). A buffered call reports success optimistically — its
+    // functional result is guaranteed (computed eagerly at flush), only
+    // the modeled fault outcome is folded into the flush that carries
+    // it.
     const unsigned home = rt_.stackOf(call.out.base);
     std::lock_guard<std::mutex> lock(wmu_);
     if (!pending_.empty() && home != home_) {

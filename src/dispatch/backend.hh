@@ -7,8 +7,9 @@
  * tryPhysOf(); null pointers keep the bases preset in the OpCall (the
  * TDL path) — submits it on the PR-1 command queues, and reports the
  * Event outcome as a Status. Operands outside the runtime arena make
- * execute() decline with InvalidArgument so the dispatcher records an
- * unmappable fallback and runs the host kernel instead.
+ * execute() decline with InvalidArgument before anything is submitted,
+ * so the dispatcher records an unmappable fallback and runs the host
+ * kernel instead — for every op, rerun-safe or not.
  *
  * With a fusion window > 1 the backend batches adjacent accel-decided
  * calls homed on the same stack into ONE multi-COMP descriptor program
@@ -43,8 +44,8 @@ class RuntimeBackend final : public AccelBackend
     /** @p rt must outlive the backend (and be functional for the
      * results to be real; a cost-only runtime models time/energy but
      * leaves the output buffers untouched). @p fusionWindow is the
-     * maximum COMPs batched into one descriptor program; 1 disables
-     * fusion (bit-for-bit legacy submission). */
+     * maximum COMPs batched into one descriptor program; 1 submits
+     * each call as its own one-COMP program (no fusion). */
     explicit RuntimeBackend(runtime::MealibRuntime &rt,
                             unsigned fusionWindow = fusionWindowFromEnv())
         : rt_(rt), window_(fusionWindow < 1 ? 1 : fusionWindow)
@@ -93,8 +94,9 @@ class RuntimeBackend final : public AccelBackend
         accel::LoopSpec loop;
     };
 
-    /** Map host operand pointers to physical bases; decline when an
-     * operand is outside the accelerator arena. */
+    /** Map host operand pointers to physical bases; decline with
+     * InvalidArgument when an operand is outside the accelerator arena
+     * (nothing has been submitted). */
     Status mapCall(const OpDesc &desc, accel::OpCall *out) const;
 
     /** Build + submit one program from the buffered calls. Requires

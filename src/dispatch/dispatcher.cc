@@ -180,20 +180,22 @@ Dispatcher::run(const OpDesc &desc, const std::function<void()> &hostFn)
             s.bytesOffloaded += desc.bytes();
             return;
         }
-        // The backend may have partially executed; rerunning the host
+        // InvalidArgument is a decline before submission: nothing ran.
+        // Any other error may follow a partial run; rerunning the host
         // path is only correct when the op does not read what it
         // writes (rerunSafe). Otherwise surface the error.
-        if (!desc.rerunSafe) {
+        reason = st.code() == ErrorCode::InvalidArgument
+                     ? FallbackReason::Unmappable
+                     : FallbackReason::BackendError;
+        if (reason == FallbackReason::BackendError && !desc.rerunSafe) {
             {
                 std::lock_guard<std::mutex> lock(mu_);
                 OpStats &s = stats_.of(desc.kind);
                 s.fallbacks++;
-                s.fallbackBy[static_cast<std::size_t>(
-                    FallbackReason::BackendError)]++;
+                s.fallbackBy[static_cast<std::size_t>(reason)]++;
             }
             throw MealibError(st);
         }
-        reason = FallbackReason::BackendError;
     }
 
     {

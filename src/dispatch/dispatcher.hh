@@ -31,9 +31,17 @@ namespace mealib::dispatch {
 /**
  * An execution target for accel-decided descriptors. The runtime
  * backend (dispatch/backend.hh) adapts MealibRuntime; tests plug in
- * fakes. execute() must either complete the operation with the same
- * result the host path would produce, or return a non-ok Status having
- * made no externally visible writes.
+ * fakes. execute() either completes the operation with the same result
+ * the host path would produce, or returns a non-ok Status of one of two
+ * kinds:
+ *
+ *  - InvalidArgument: a decline before anything ran (e.g. an operand
+ *    outside accelerator memory). No writes happened; the dispatcher
+ *    records an Unmappable fallback and runs the host path.
+ *  - any other code: an error after submission. The operation may have
+ *    run in part (the runtime writes functional results before it
+ *    rolls faults), so the dispatcher reruns the host path only for
+ *    rerun-safe ops and otherwise throws.
  */
 class AccelBackend
 {
@@ -97,11 +105,11 @@ class Dispatcher
 
     /**
      * Execute @p desc: ask the policy for a side, then run @p hostFn
-     * (host) or the backend (accel). A declined or failed offload
-     * reruns @p hostFn when @p desc.rerunSafe; otherwise backend
-     * *errors* propagate as MealibError (declines — no backend,
-     * unsupported, unmappable — are detected before any execution and
-     * always fall back).
+     * (host) or the backend (accel). Declines — no backend,
+     * unsupported, unmappable, or the backend refusing the call before
+     * it runs — always fall back to @p hostFn. A backend *error* after
+     * submission reruns @p hostFn when @p desc.rerunSafe and otherwise
+     * propagates as MealibError.
      */
     void run(const OpDesc &desc, const std::function<void()> &hostFn);
 

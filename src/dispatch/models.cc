@@ -1,78 +1,12 @@
 #include "dispatch/models.hh"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
-#include <vector>
 
 #include "accel/config.hh"
 #include "accel/model.hh"
-#include "common/logging.hh"
 
 namespace mealib::dispatch {
-
-namespace {
-
-/**
- * Streaming-triad microprobe: measured sustained bandwidth of the
- * machine this process actually runs on, best of three timed passes
- * over an L3-exceeding working set (one warm-up pass discarded).
- */
-double
-probeStreamBandwidthGBs()
-{
-    const std::size_t n = std::size_t{1} << 21; // 8 MiB per array
-    std::vector<float> a(n, 1.0f), b(n, 2.0f), c(n, 3.0f);
-    double best = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < 4; ++rep) {
-        const auto t0 = std::chrono::steady_clock::now();
-        for (std::size_t i = 0; i < n; ++i)
-            a[i] = b[i] + 0.5f * c[i];
-        const auto t1 = std::chrono::steady_clock::now();
-        // The first pass warms the pages and the caches.
-        if (rep > 0)
-            best = std::min(
-                best, std::chrono::duration<double>(t1 - t0).count());
-        volatile float sink = a[n / 2];
-        (void)sink;
-    }
-    if (!(best > 0.0))
-        return 0.0;
-    const double bytes =
-        3.0 * static_cast<double>(n) * sizeof(float); // 2 reads + 1 write
-    return bytes / best * 1e-9;
-}
-
-/**
- * measured/modeled host-bandwidth ratio for @p machine, probed once per
- * (process, profile) when MEALIB_HOST_CALIBRATE is set; 1.0 otherwise.
- */
-double
-hostThroughputScale(const hwmodel::MachineProfile &machine)
-{
-    const char *env = std::getenv("MEALIB_HOST_CALIBRATE");
-    if (env == nullptr || *env == '\0' || std::strcmp(env, "0") == 0)
-        return 1.0;
-    static std::mutex mu;
-    static std::map<const hwmodel::MachineProfile *, double> cache;
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = cache.find(&machine);
-    if (it != cache.end())
-        return it->second;
-    const double measured = probeStreamBandwidthGBs();
-    const double modeled = machine.cpu.memBandwidth * 1e-9;
-    double scale = modeled > 0.0 && measured > 0.0 ? measured / modeled
-                                                   : 1.0;
-    // A wildly off probe (noisy neighbour, throttled core) must not
-    // invert dispatch decisions by orders of magnitude.
-    scale = std::clamp(scale, 0.05, 20.0);
-    cache.emplace(&machine, scale);
-    return scale;
-}
-
-} // namespace
 
 const hwmodel::MachineProfile &
 machineFor(HostKind host)
@@ -133,8 +67,7 @@ RooflineCostModel::RooflineCostModel()
 
 RooflineCostModel::RooflineCostModel(
     const hwmodel::MachineProfile &machine)
-    : machine_(machine), cpu_(machine.cpu),
-      hostScale_(hostThroughputScale(machine))
+    : machine_(machine), cpu_(machine.cpu)
 {
 }
 
@@ -176,7 +109,7 @@ RooflineCostModel::hostSeconds(const OpDesc &desc) const
         p.parallelFraction = 0.95;
         p.callOverheads = machine_.callOverheadSeconds;
     }
-    double s = cpu_.run(p).seconds / hostScale_;
+    double s = cpu_.run(p).seconds;
 
     std::lock_guard<std::mutex> lock(mu_);
     hostCache_.emplace(key, s);

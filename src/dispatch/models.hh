@@ -89,17 +89,6 @@ class RooflineCostModel final : public CostModel
 
     const hwmodel::MachineProfile &machine() const { return machine_; }
 
-    /**
-     * Host throughput recalibration factor applied to hostSeconds().
-     * 1.0 unless MEALIB_HOST_CALIBRATE is set, in which case a startup
-     * streaming microprobe measures the actual machine's bandwidth and
-     * scales the modeled host times by measured/modeled (cached per
-     * machine profile, so the probe runs once per process). Off by
-     * default: the modeled host baseline is part of the pinned pricing
-     * (the drift-pin tests assert registry parity).
-     */
-    double hostCalibrationScale() const { return hostScale_; }
-
     /** Fixed per-invocation accelerator overhead (descriptor copy +
      * START handshake), excluding the size-dependent cache flush. */
     static constexpr double kHandshakeSeconds =
@@ -114,7 +103,6 @@ class RooflineCostModel final : public CostModel
 
     const hwmodel::MachineProfile &machine_;
     host::CpuModel cpu_;
-    double hostScale_ = 1.0;
     unsigned fusionWindow_ = 1;
     mutable std::mutex mu_;
     mutable std::map<Key, double> hostCache_;

@@ -23,7 +23,7 @@ enum class FallbackReason : std::uint8_t
     None = 0,
     NoBackend,    //!< no accelerator backend attached
     Unsupported,  //!< kind/argument combination has no COMP mapping
-    Unmappable,   //!< operands not translatable to physical addresses
+    Unmappable,   //!< operands not translatable; the backend declined
     BackendError, //!< submission or execution returned an error
     kCount,
 };

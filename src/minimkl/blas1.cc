@@ -62,16 +62,10 @@ saxpy(std::int64_t n, float a, const float *x, std::int64_t incx, float *y,
         return;
     fatalIf(incx == 0 || incy == 0, "saxpy: zero stride");
     if (incx == 1 && incy == 1) {
-        const KernelTuning &t = kernelTuning();
-        const simd::Kernels *sk = simd::active();
-        parallelFor(0, n, t.threadsFor(n), 4096,
+        const simd::Kernels &sk = simd::active();
+        parallelFor(0, n, kernelTuning().threadsFor(n), 4096,
                     [&](std::int64_t b, std::int64_t e) {
-                        if (sk) {
-                            sk->saxpy(e - b, a, x + b, y + b);
-                            return;
-                        }
-                        for (std::int64_t i = b; i < e; ++i)
-                            y[i] += a * x[i];
+                        sk.saxpy(e - b, a, x + b, y + b);
                     });
         return;
     }
@@ -100,16 +94,10 @@ saxpby(std::int64_t n, float a, const float *x, std::int64_t incx,
         return;
     }
     if (incx == 1 && incy == 1) {
-        const KernelTuning &t = kernelTuning();
-        const simd::Kernels *sk = simd::active();
-        parallelFor(0, n, t.threadsFor(n), 4096,
+        const simd::Kernels &sk = simd::active();
+        parallelFor(0, n, kernelTuning().threadsFor(n), 4096,
                     [&](std::int64_t lo, std::int64_t hi) {
-                        if (sk) {
-                            sk->saxpby(hi - lo, a, x + lo, b, y + lo);
-                            return;
-                        }
-                        for (std::int64_t i = lo; i < hi; ++i)
-                            y[i] = a * x[i] + b * y[i];
+                        sk.saxpby(hi - lo, a, x + lo, b, y + lo);
                     });
         return;
     }
@@ -126,16 +114,10 @@ sscal(std::int64_t n, float a, float *x, std::int64_t incx)
         return;
     fatalIf(incx == 0, "sscal: zero stride");
     if (incx == 1) {
-        const KernelTuning &t = kernelTuning();
-        const simd::Kernels *sk = simd::active();
-        parallelFor(0, n, t.threadsFor(n), 4096,
+        const simd::Kernels &sk = simd::active();
+        parallelFor(0, n, kernelTuning().threadsFor(n), 4096,
                     [&](std::int64_t b, std::int64_t e) {
-                        if (sk) {
-                            sk->sscal(e - b, a, x + b);
-                            return;
-                        }
-                        for (std::int64_t i = b; i < e; ++i)
-                            x[i] *= a;
+                        sk.sscal(e - b, a, x + b);
                     });
         return;
     }
@@ -152,16 +134,10 @@ scopy(std::int64_t n, const float *x, std::int64_t incx, float *y,
         return;
     fatalIf(incx == 0 || incy == 0, "scopy: zero stride");
     if (incx == 1 && incy == 1) {
-        const KernelTuning &t = kernelTuning();
-        const simd::Kernels *sk = simd::active();
-        parallelFor(0, n, t.threadsFor(n), 4096,
+        const simd::Kernels &sk = simd::active();
+        parallelFor(0, n, kernelTuning().threadsFor(n), 4096,
                     [&](std::int64_t b, std::int64_t e) {
-                        if (sk) {
-                            sk->scopy(e - b, x + b, y + b);
-                            return;
-                        }
-                        for (std::int64_t i = b; i < e; ++i)
-                            y[i] = x[i];
+                        sk.scopy(e - b, x + b, y + b);
                     });
         return;
     }
@@ -184,18 +160,11 @@ sdot(std::int64_t n, const float *x, std::int64_t incx, const float *y,
         // Fixed-chunk deterministic reduction: the chunk boundaries and
         // the combine tree depend only on n, so the result is
         // bit-identical for any thread count.
-        const KernelTuning &t = kernelTuning();
-        const simd::Kernels *sk = simd::active();
+        const simd::Kernels &sk = simd::active();
         double acc = deterministicReduce<double>(
-            n, t.reduceChunk, t.threadsFor(n),
+            n, kReduceChunk, kernelTuning().threadsFor(n),
             [&](std::int64_t b, std::int64_t e) {
-                if (sk)
-                    return sk->sdot(e - b, x + b, y + b);
-                double s = 0.0;
-                for (std::int64_t i = b; i < e; ++i)
-                    s += static_cast<double>(x[i]) *
-                         static_cast<double>(y[i]);
-                return s;
+                return sk.sdot(e - b, x + b, y + b);
             },
             [](double a, double b) { return a + b; });
         return static_cast<float>(acc);
@@ -215,34 +184,16 @@ snrm2(std::int64_t n, const float *x, std::int64_t incx)
         return 0.0f;
     fatalIf(incx == 0, "snrm2: zero stride");
     // Scaled sum of squares (LAPACK slassq style) to avoid overflow.
-    auto chunkSsq = [&](std::int64_t b, std::int64_t e) {
-        Slassq s;
-        for (std::int64_t i = b; i < e; ++i) {
-            double ax = std::fabs(static_cast<double>(x[i]));
-            if (ax == 0.0)
-                continue;
-            if (s.scale < ax) {
-                s.ssq = 1.0 + s.ssq * (s.scale / ax) * (s.scale / ax);
-                s.scale = ax;
-            } else {
-                s.ssq += (ax / s.scale) * (ax / s.scale);
-            }
-        }
-        return s;
-    };
     if (incx == 1) {
-        const KernelTuning &t = kernelTuning();
-        const simd::Kernels *sk = simd::active();
+        const simd::Kernels &sk = simd::active();
         auto chunkFn = [&](std::int64_t b, std::int64_t e) {
-            if (sk) {
-                Slassq s;
-                sk->slassq(e - b, x + b, &s.scale, &s.ssq);
-                return s;
-            }
-            return chunkSsq(b, e);
+            Slassq s;
+            sk.slassq(e - b, x + b, &s.scale, &s.ssq);
+            return s;
         };
         Slassq s = deterministicReduce<Slassq>(
-            n, t.reduceChunk, t.threadsFor(n), chunkFn, slassqCombine);
+            n, kReduceChunk, kernelTuning().threadsFor(n), chunkFn,
+            slassqCombine);
         return static_cast<float>(s.scale * std::sqrt(s.ssq));
     }
     Slassq s;
@@ -268,17 +219,11 @@ sasum(std::int64_t n, const float *x, std::int64_t incx)
         return 0.0f;
     fatalIf(incx == 0, "sasum: zero stride");
     if (incx == 1) {
-        const KernelTuning &t = kernelTuning();
-        const simd::Kernels *sk = simd::active();
+        const simd::Kernels &sk = simd::active();
         double acc = deterministicReduce<double>(
-            n, t.reduceChunk, t.threadsFor(n),
+            n, kReduceChunk, kernelTuning().threadsFor(n),
             [&](std::int64_t b, std::int64_t e) {
-                if (sk)
-                    return sk->sasum(e - b, x + b);
-                double s = 0.0;
-                for (std::int64_t i = b; i < e; ++i)
-                    s += std::fabs(static_cast<double>(x[i]));
-                return s;
+                return sk.sasum(e - b, x + b);
             },
             [](double a, double b) { return a + b; });
         return static_cast<float>(acc);
@@ -302,7 +247,7 @@ isamax(std::int64_t n, const float *x, std::int64_t incx)
         std::int64_t i;
     };
     const std::int64_t base = startIndex(n, incx);
-    const simd::Kernels *sk = incx == 1 ? simd::active() : nullptr;
+    const simd::Kernels *sk = incx == 1 ? &simd::active() : nullptr;
     auto chunkBest = [&](std::int64_t b, std::int64_t e) {
         if (sk) {
             Best best;
@@ -324,7 +269,7 @@ isamax(std::int64_t n, const float *x, std::int64_t incx)
     // sequential "first strictly greater wins" semantics exactly.
     const KernelTuning &t = kernelTuning();
     Best best = deterministicReduce<Best>(
-        n, t.reduceChunk, incx == 1 ? t.threadsFor(n) : 1, chunkBest,
+        n, kReduceChunk, incx == 1 ? t.threadsFor(n) : 1, chunkBest,
         [](const Best &a, const Best &b) { return b.v > a.v ? b : a; });
     return best.i;
 }
@@ -337,18 +282,11 @@ caxpy(std::int64_t n, cfloat a, const cfloat *x, std::int64_t incx,
         return;
     fatalIf(incx == 0 || incy == 0, "caxpy: zero stride");
     if (incx == 1 && incy == 1) {
-        const KernelTuning &t = kernelTuning();
-        const simd::Kernels *sk = simd::active();
-        parallelFor(0, n, t.threadsFor(2 * n), 4096,
+        const simd::Kernels &sk = simd::active();
+        parallelFor(0, n, kernelTuning().threadsFor(2 * n), 4096,
                     [&](std::int64_t b, std::int64_t e) {
-                        if (sk) {
-                            sk->caxpy(e - b, a.real(), a.imag(),
-                                      flat(x + b),
-                                      reinterpret_cast<float *>(y + b));
-                            return;
-                        }
-                        for (std::int64_t i = b; i < e; ++i)
-                            y[i] += a * x[i];
+                        sk.caxpy(e - b, a.real(), a.imag(), flat(x + b),
+                                 reinterpret_cast<float *>(y + b));
                     });
         return;
     }
@@ -385,7 +323,7 @@ cdotc(std::int64_t n, const cfloat *x, std::int64_t incx, const cfloat *y,
     const std::int64_t bx = startIndex(n, incx);
     const std::int64_t by = startIndex(n, incy);
     const simd::Kernels *sk =
-        incx == 1 && incy == 1 ? simd::active() : nullptr;
+        incx == 1 && incy == 1 ? &simd::active() : nullptr;
     auto chunk = [&](std::int64_t b, std::int64_t e) {
         CAcc s;
         if (sk) {
@@ -406,7 +344,7 @@ cdotc(std::int64_t n, const cfloat *x, std::int64_t incx, const cfloat *y,
     };
     const KernelTuning &t = kernelTuning();
     int threads = incx == 1 && incy == 1 ? t.threadsFor(2 * n) : 1;
-    CAcc s = deterministicReduce<CAcc>(n, t.reduceChunk, threads, chunk,
+    CAcc s = deterministicReduce<CAcc>(n, kReduceChunk, threads, chunk,
                                        caccAdd);
     return {static_cast<float>(s.re), static_cast<float>(s.im)};
 }
@@ -421,7 +359,7 @@ cdotu(std::int64_t n, const cfloat *x, std::int64_t incx, const cfloat *y,
     const std::int64_t bx = startIndex(n, incx);
     const std::int64_t by = startIndex(n, incy);
     const simd::Kernels *sk =
-        incx == 1 && incy == 1 ? simd::active() : nullptr;
+        incx == 1 && incy == 1 ? &simd::active() : nullptr;
     auto chunk = [&](std::int64_t b, std::int64_t e) {
         CAcc s;
         if (sk) {
@@ -441,7 +379,7 @@ cdotu(std::int64_t n, const cfloat *x, std::int64_t incx, const cfloat *y,
     };
     const KernelTuning &t = kernelTuning();
     int threads = incx == 1 && incy == 1 ? t.threadsFor(2 * n) : 1;
-    CAcc s = deterministicReduce<CAcc>(n, t.reduceChunk, threads, chunk,
+    CAcc s = deterministicReduce<CAcc>(n, kReduceChunk, threads, chunk,
                                        caccAdd);
     return {static_cast<float>(s.re), static_cast<float>(s.im)};
 }

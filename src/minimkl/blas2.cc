@@ -77,7 +77,7 @@ sgemv(Order order, Transpose trans, std::int64_t m, std::int64_t n,
     const KernelTuning &tun = kernelTuning();
     const int threads = tun.threadsFor(ylen * xlen);
 
-    const simd::Kernels *sk = simd::active();
+    const simd::Kernels &sk = simd::active();
 
     if (!c.transposed) {
         // Row-wise: each output element is a dot product over one stored
@@ -86,14 +86,14 @@ sgemv(Order order, Transpose trans, std::int64_t m, std::int64_t n,
         // row's accumulation stays sequential (the SIMD kernel uses the
         // fixed 8-lane accumulator layout), keeping the result
         // bit-identical for any thread count.
-        const bool vecRow = sk != nullptr && incx == 1;
+        const bool vecRow = incx == 1;
         parallelFor(0, ylen, threads, 1,
                     [&](std::int64_t rb, std::int64_t re) {
                         for (std::int64_t i = rb; i < re; ++i) {
                             double acc = 0.0;
                             const float *row = a + i * lda;
                             if (vecRow) {
-                                acc = sk->sdot(xlen, row, x);
+                                acc = sk.sdot(xlen, row, x);
                             } else {
                                 std::int64_t jx = xbase;
                                 for (std::int64_t j = 0; j < xlen;
@@ -110,7 +110,7 @@ sgemv(Order order, Transpose trans, std::int64_t m, std::int64_t n,
         // stride. Each thread owns a contiguous slice of y and walks
         // every stored row's slice, so writes never overlap and the
         // per-element accumulation order (j ascending) is unchanged.
-        const bool vecCol = sk != nullptr && incy == 1;
+        const bool vecCol = incy == 1;
         parallelFor(0, ylen, threads, 256,
                     [&](std::int64_t lb, std::int64_t le) {
                         std::int64_t jx = xbase;
@@ -121,7 +121,7 @@ sgemv(Order order, Transpose trans, std::int64_t m, std::int64_t n,
                                 continue;
                             const float *row = a + j * lda;
                             if (vecCol) {
-                                sk->saxpy(le - lb, ax, row + lb, y + lb);
+                                sk.saxpy(le - lb, ax, row + lb, y + lb);
                                 continue;
                             }
                             for (std::int64_t i = lb; i < le; ++i)
@@ -169,13 +169,12 @@ cgemv(Order order, Transpose trans, std::int64_t m, std::int64_t n,
     const KernelTuning &tun = kernelTuning();
     const int threads = tun.threadsFor(2 * ylen * xlen);
 
-    const simd::Kernels *sk = simd::active();
+    const simd::Kernels &sk = simd::active();
 
     if (!c.transposed) {
-        // Vector levels accumulate the row dot in 4 complex f64 lanes
-        // (an upgrade over the legacy float accumulator, consistent
-        // across the non-scalar ISA levels); scalar keeps legacy bits.
-        const bool vecRow = sk != nullptr && incx == 1;
+        // Unit-stride rows accumulate the dot in 4 complex f64 lanes;
+        // strided x keeps the float accumulator.
+        const bool vecRow = incx == 1;
         parallelFor(0, ylen, threads, 1,
                     [&](std::int64_t rb, std::int64_t re) {
                         for (std::int64_t i = rb; i < re; ++i) {
@@ -184,7 +183,7 @@ cgemv(Order order, Transpose trans, std::int64_t m, std::int64_t n,
                             if (vecRow) {
                                 double re_ = 0.0;
                                 double im_ = 0.0;
-                                sk->cdot(
+                                sk.cdot(
                                     xlen,
                                     reinterpret_cast<const float *>(row),
                                     reinterpret_cast<const float *>(x),
@@ -202,7 +201,7 @@ cgemv(Order order, Transpose trans, std::int64_t m, std::int64_t n,
                     });
     } else {
         // Same y-slice ownership scheme as sgemv's transposed path.
-        const bool vecCol = sk != nullptr && incy == 1 && !c.conj;
+        const bool vecCol = incy == 1 && !c.conj;
         parallelFor(0, ylen, threads, 256,
                     [&](std::int64_t lb, std::int64_t le) {
                         std::int64_t jx = xbase;
@@ -213,7 +212,7 @@ cgemv(Order order, Transpose trans, std::int64_t m, std::int64_t n,
                                 continue;
                             const cfloat *row = a + j * lda;
                             if (vecCol) {
-                                sk->caxpy(
+                                sk.caxpy(
                                     le - lb, ax.real(), ax.imag(),
                                     reinterpret_cast<const float *>(row
                                                                     + lb),

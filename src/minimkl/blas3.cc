@@ -71,19 +71,23 @@ class OpView
 
 /** alpha*x + y row update through the active SIMD table. */
 inline void
-simdAxpyRow(const simd::Kernels *sk, std::int64_t n, float av,
+simdAxpyRow(const simd::Kernels &sk, std::int64_t n, float av,
             const float *x, float *y)
 {
-    sk->saxpy(n, av, x, y);
+    sk.saxpy(n, av, x, y);
 }
 
 inline void
-simdAxpyRow(const simd::Kernels *sk, std::int64_t n, cfloat av,
+simdAxpyRow(const simd::Kernels &sk, std::int64_t n, cfloat av,
             const cfloat *x, cfloat *y)
 {
-    sk->caxpy(n, av.real(), av.imag(), reinterpret_cast<const float *>(x),
-              reinterpret_cast<float *>(y));
+    sk.caxpy(n, av.real(), av.imag(), reinterpret_cast<const float *>(x),
+             reinterpret_cast<float *>(y));
 }
+
+/** Square blocking factor of the level-3 loops (gemm blocks, herk
+ * k-panels). */
+constexpr std::int64_t kGemmBlock = 64;
 
 /** Row-major blocked GEMM core: C := alpha*op(A)*op(B) + beta*C. */
 template <typename T>
@@ -123,13 +127,13 @@ gemmRowMajor(Transpose transa, Transpose transb, std::int64_t m,
     // op(B) is untransposed. Row bands own disjoint C rows, so the
     // outer band loop fans out across the pool; within a row the
     // kk-ascending update order is unchanged by the partition.
-    const std::int64_t BS = tun.gemmBlock;
+    const std::int64_t BS = kGemmBlock;
     const std::int64_t mult = tun.threadsFor(2 * m * n * k);
     // When op(B) is untransposed its rows are contiguous, so the j map
     // runs through the SIMD axpy kernel (bit-identical to the scalar
     // elementwise update at every level).
-    const simd::Kernels *sk = simd::active();
-    const bool vecB = sk != nullptr && !B.transposed();
+    const simd::Kernels &sk = simd::active();
+    const bool vecB = !B.transposed();
     parallelFor(0, m, mult, BS, [&](std::int64_t mb, std::int64_t me) {
         for (std::int64_t ii = mb; ii < me; ii += BS) {
             std::int64_t ie = std::min(ii + BS, me);
@@ -202,21 +206,20 @@ cherkRowMajor(Uplo uplo, Transpose trans, std::int64_t n, std::int64_t k,
     // NoTrans: C += alpha * A * A^H with A n x k (row-major).
     // ConjTrans: C += alpha * A^H * A with A k x n.
     //
-    // Panel loop: k is cut into gemmBlock-sized panels so that in the
+    // Panel loop: k is cut into kGemmBlock-sized panels so that in the
     // NoTrans case row i's panel stays L1-resident while row j streams.
     // Each (i, j) keeps one double accumulator across all panels, so
     // the summation order (p ascending) — and hence the result — is
     // identical to the unblocked walk for every thread count. Rows of
     // the triangle are independent and fan out across the pool.
-    const std::int64_t PS = tun.gemmBlock;
+    const std::int64_t PS = kGemmBlock;
     const int rowThreads = tun.threadsFor(4 * n * n * k);
     // NoTrans rows are contiguous: each panel dot runs through the
     // fixed-width complex dot kernel (conj(a_i).a_j is the conjugate of
-    // the legacy x.conj(y) walk, so only the imaginary sign flips), and
+    // a_i.conj(a_j), so only the imaginary sign flips), and
     // the panel partials accumulate in pp-ascending order — identical
-    // across vector ISA levels and thread counts.
-    const simd::Kernels *sk = simd::active();
-    const bool vecRow = sk != nullptr && notrans;
+    // across ISA levels and thread counts.
+    const simd::Kernels &sk = simd::active();
     parallelFor(0, n, rowThreads, 1,
                 [&](std::int64_t rb, std::int64_t re) {
                     for (std::int64_t i = rb; i < re; ++i) {
@@ -226,9 +229,9 @@ cherkRowMajor(Uplo uplo, Transpose trans, std::int64_t n, std::int64_t k,
                             double racc = 0.0, iacc = 0.0;
                             for (std::int64_t pp = 0; pp < k; pp += PS) {
                                 std::int64_t pe = std::min(pp + PS, k);
-                                if (vecRow) {
+                                if (notrans) {
                                     double re_ = 0.0, im_ = 0.0;
-                                    sk->cdot(
+                                    sk.cdot(
                                         pe - pp,
                                         reinterpret_cast<const float *>(
                                             a + i * lda + pp),
@@ -239,15 +242,10 @@ cherkRowMajor(Uplo uplo, Transpose trans, std::int64_t n, std::int64_t k,
                                     iacc -= im_;
                                     continue;
                                 }
+                                // ConjTrans: columns are strided.
                                 for (std::int64_t p = pp; p < pe; ++p) {
-                                    cfloat x =
-                                        notrans
-                                            ? a[i * lda + p]
-                                            : std::conj(a[p * lda + i]);
-                                    cfloat y =
-                                        notrans
-                                            ? std::conj(a[j * lda + p])
-                                            : a[p * lda + j];
+                                    cfloat x = std::conj(a[p * lda + i]);
+                                    cfloat y = a[p * lda + j];
                                     racc +=
                                         static_cast<double>(x.real()) *
                                             y.real() -

@@ -98,7 +98,7 @@ FftPlan::kernel(cfloat *x, cfloat *y, std::int64_t n) const
     // with stride s. After log2(n) ping-pong stages the result is in x.
     panicIf(n > twiddleN_, "fft kernel size exceeds twiddle table");
     const std::int64_t step = twiddleN_ / n;
-    const simd::Kernels *sk = simd::active();
+    const simd::Kernels &sk = simd::active();
     for (std::int64_t nn = n, s = 1; nn > 1; nn >>= 1, s <<= 1) {
         const std::int64_t m = nn >> 1;
         for (std::int64_t p = 0; p < m; ++p) {
@@ -108,22 +108,13 @@ FftPlan::kernel(cfloat *x, cfloat *y, std::int64_t n) const
             const cfloat *xb = x + s * (p + m);
             cfloat *ya = y + s * 2 * p;
             cfloat *yb = ya + s;
-            if (sk) {
-                // Same elementwise ops as the scalar loop, 4 complex
-                // lanes at a time (bit-identical at every level).
-                sk->fftButterfly(s, reinterpret_cast<const float *>(xa),
-                                 reinterpret_cast<const float *>(xb),
-                                 reinterpret_cast<float *>(ya),
-                                 reinterpret_cast<float *>(yb), w.real(),
-                                 w.imag());
-                continue;
-            }
-            for (std::int64_t q = 0; q < s; ++q) {
-                const cfloat a = xa[q];
-                const cfloat b = xb[q];
-                ya[q] = a + b;
-                yb[q] = (a - b) * w;
-            }
+            // ya = xa + xb; yb = (xa - xb) * w, 4 complex lanes at a
+            // time (bit-identical at every level).
+            sk.fftButterfly(s, reinterpret_cast<const float *>(xa),
+                            reinterpret_cast<const float *>(xb),
+                            reinterpret_cast<float *>(ya),
+                            reinterpret_cast<float *>(yb), w.real(),
+                            w.imag());
         }
         std::swap(x, y);
     }

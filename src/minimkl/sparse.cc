@@ -49,7 +49,7 @@ spmvRows(std::int64_t rb, std::int64_t re, const PtrT *rowPtr, PtrT base,
          const std::int32_t *colIdx, const float *vals, const float *x,
          float *y)
 {
-    const simd::Kernels *sk = simd::active();
+    const simd::Kernels &sk = simd::active();
     for (std::int64_t r = rb; r < re; ++r) {
         double acc = 0.0;
         const std::int64_t k0 = rowPtr[r] - base;
@@ -57,10 +57,10 @@ spmvRows(std::int64_t rb, std::int64_t re, const PtrT *rowPtr, PtrT base,
         // Short rows stay scalar: the lane-by-lane x gather only pays
         // off once a row spans several full vectors. The cutoff is a
         // fixed constant (row length only), so results remain
-        // bit-identical across thread counts and vector ISA levels.
-        if (sk && k1 - k0 >= 32) {
-            acc = sk->csrdot(k1 - k0, vals + k0, colIdx + k0,
-                             static_cast<std::int32_t>(base), x);
+        // bit-identical across thread counts and ISA levels.
+        if (k1 - k0 >= 32) {
+            acc = sk.csrdot(k1 - k0, vals + k0, colIdx + k0,
+                            static_cast<std::int32_t>(base), x);
         } else {
             for (std::int64_t k = k0; k < k1; ++k)
                 acc += static_cast<double>(vals[k]) *

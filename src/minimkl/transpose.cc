@@ -24,14 +24,16 @@ conjOf(cfloat v)
     return std::conj(v);
 }
 
+/** Transpose tile edge: a 32x32 float tile pair fits in L1. */
+constexpr std::int64_t kTile = 32;
+
 /**
  * Row-major core of B := alpha * op(A). Column-major callers flip
  * rows/cols (a column-major matrix is its row-major transpose).
  *
- * The transposing path is tiled in KernelTuning::tile-sized square
- * blocks (the default 32x32 float tile pair fits in L1) and the tile
- * row-bands are statically partitioned across the thread pool: band i
- * only writes columns [ii, ie) of B, so bands never overlap.
+ * The transposing path is tiled in kTile-sized square blocks and the
+ * tile row-bands are statically partitioned across the thread pool:
+ * band i only writes columns [ii, ie) of B, so bands never overlap.
  */
 template <typename T>
 void
@@ -46,10 +48,9 @@ omatcopyRowMajor(Transpose trans, std::int64_t rows, std::int64_t cols,
     const bool cj = trans == Transpose::ConjTrans;
     fatalIf(ldb < (t ? rows : cols), "omatcopy: ldb too small");
 
-    const KernelTuning &tun = kernelTuning();
-    const int threads = tun.threadsFor(rows * cols);
+    const int threads = kernelTuning().threadsFor(rows * cols);
 
-    const simd::Kernels *sk = simd::active();
+    const simd::Kernels &sk = simd::active();
 
     if (!t) {
         parallelFor(0, rows, threads, 1,
@@ -58,8 +59,8 @@ omatcopyRowMajor(Transpose trans, std::int64_t rows, std::int64_t cols,
                             const T *ra = a + i * lda;
                             T *rb2 = b + i * ldb;
                             if constexpr (std::is_same_v<T, float>) {
-                                if (!cj && sk) {
-                                    sk->scopyScale(cols, alpha, ra, rb2);
+                                if (!cj) {
+                                    sk.scopyScale(cols, alpha, ra, rb2);
                                     continue;
                                 }
                             }
@@ -79,7 +80,7 @@ omatcopyRowMajor(Transpose trans, std::int64_t rows, std::int64_t cols,
     // BS x BS tile, so each side touches at most BS distinct rows. The
     // float tiles run through the 8x8 in-register transpose kernel
     // (bit-identical to the elementwise loop).
-    const std::int64_t BS = tun.tile;
+    const std::int64_t BS = kTile;
     const std::int64_t rowTiles = (rows + BS - 1) / BS;
     parallelFor(0, rowTiles, threads, 1,
                 [&](std::int64_t tb, std::int64_t te) {
@@ -89,10 +90,10 @@ omatcopyRowMajor(Transpose trans, std::int64_t rows, std::int64_t cols,
                         for (std::int64_t jj = 0; jj < cols; jj += BS) {
                             std::int64_t je = std::min(jj + BS, cols);
                             if constexpr (std::is_same_v<T, float>) {
-                                if (!cj && sk) {
-                                    sk->somatTile(ie - ii, je - jj, alpha,
-                                                  a + ii * lda + jj, lda,
-                                                  b + jj * ldb + ii, ldb);
+                                if (!cj) {
+                                    sk.somatTile(ie - ii, je - jj, alpha,
+                                                 a + ii * lda + jj, lda,
+                                                 b + jj * ldb + ii, ldb);
                                     continue;
                                 }
                             }
@@ -137,8 +138,7 @@ imatcopyDispatch(Order order, Transpose trans, std::int64_t rows,
     std::int64_t scols = order == Order::RowMajor ? cols : rows;
     fatalIf(lda < scols, "imatcopy: lda too small");
 
-    const KernelTuning &tun = kernelTuning();
-    const int threads = tun.threadsFor(srows * scols);
+    const int threads = kernelTuning().threadsFor(srows * scols);
 
     if (!t) {
         fatalIf(ldb < scols, "imatcopy: ldb too small");
@@ -156,7 +156,7 @@ imatcopyDispatch(Order order, Transpose trans, std::int64_t rows,
         return;
     }
 
-    const std::int64_t BS = tun.tile;
+    const std::int64_t BS = kTile;
     if (srows == scols && lda == ldb) {
         // Square in-place transpose by swapping across the diagonal,
         // tile pair by tile pair. Band rt swaps tiles (rt, jj >= rt)
@@ -166,7 +166,7 @@ imatcopyDispatch(Order order, Transpose trans, std::int64_t rows,
         // [rt*BS, ...) that no other band's swap reaches.
         std::int64_t n = srows;
         const std::int64_t tiles = (n + BS - 1) / BS;
-        const simd::Kernels *sk = simd::active();
+        const simd::Kernels &sk = simd::active();
         parallelFor(0, tiles, threads, 1,
                     [&](std::int64_t tb, std::int64_t te) {
                         // Scratch for the SIMD tile-pair swap (sized once
@@ -179,7 +179,7 @@ imatcopyDispatch(Order order, Transpose trans, std::int64_t rows,
                             for (std::int64_t jj = ii; jj < n; jj += BS) {
                                 std::int64_t je = std::min(jj + BS, n);
                                 if constexpr (std::is_same_v<T, float>) {
-                                    if (!cj && sk && jj > ii) {
+                                    if (!cj && jj > ii) {
                                         const std::int64_t h = ie - ii;
                                         const std::int64_t w = je - jj;
                                         t1.resize(static_cast<std::size_t>(
@@ -187,21 +187,21 @@ imatcopyDispatch(Order order, Transpose trans, std::int64_t rows,
                                         t2.resize(static_cast<std::size_t>(
                                             h * w));
                                         // t1[j'][i'] = alpha*A[ii+i'][jj+j']
-                                        sk->somatTile(h, w, alpha,
-                                                      ab + ii * lda + jj,
-                                                      lda, t1.data(), h);
+                                        sk.somatTile(h, w, alpha,
+                                                     ab + ii * lda + jj,
+                                                     lda, t1.data(), h);
                                         // t2[i'][j'] = alpha*A[jj+j'][ii+i']
-                                        sk->somatTile(w, h, alpha,
-                                                      ab + jj * lda + ii,
-                                                      lda, t2.data(), w);
+                                        sk.somatTile(w, h, alpha,
+                                                     ab + jj * lda + ii,
+                                                     lda, t2.data(), w);
                                         for (std::int64_t r = 0; r < h;
                                              ++r)
-                                            sk->scopy(
+                                            sk.scopy(
                                                 w, t2.data() + r * w,
                                                 ab + (ii + r) * lda + jj);
                                         for (std::int64_t r = 0; r < w;
                                              ++r)
-                                            sk->scopy(
+                                            sk.scopy(
                                                 h, t1.data() + r * h,
                                                 ab + (jj + r) * lda + ii);
                                         continue;

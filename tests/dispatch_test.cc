@@ -208,35 +208,6 @@ TEST(CostModel, FusionWindowMemoSurvivesToggle)
     EXPECT_EQ(std::memcmp(&h4, &h1, sizeof h1), 0);
 }
 
-TEST(CostModel, HostCalibrationOffByDefault)
-{
-    // Without MEALIB_HOST_CALIBRATE the modeled host baseline is the
-    // pinned pricing: scale exactly 1.
-    ASSERT_EQ(unsetenv("MEALIB_HOST_CALIBRATE"), 0);
-    RooflineCostModel costs;
-    EXPECT_EQ(costs.hostCalibrationScale(), 1.0);
-}
-
-TEST(CostModel, HostCalibrationScalesHostSeconds)
-{
-    eval::Workload w = eval::table2Workload(accel::AccelKind::AXPY);
-    OpDesc d = opDescFromCall(w.call, w.loop);
-
-    ASSERT_EQ(unsetenv("MEALIB_HOST_CALIBRATE"), 0);
-    RooflineCostModel pinned;
-    const double base = pinned.hostSeconds(d);
-
-    ASSERT_EQ(setenv("MEALIB_HOST_CALIBRATE", "1", 1), 0);
-    RooflineCostModel calibrated;
-    ASSERT_EQ(unsetenv("MEALIB_HOST_CALIBRATE"), 0);
-
-    const double scale = calibrated.hostCalibrationScale();
-    EXPECT_GE(scale, 0.05);
-    EXPECT_LE(scale, 20.0);
-    EXPECT_NEAR(calibrated.hostSeconds(d), base / scale,
-                1e-12 * base / scale);
-}
-
 TEST(Policy, ModelDrivenPoliciesDefaultHostWithoutOracle)
 {
     CrossoverModel crossover;
@@ -258,13 +229,12 @@ class FakeBackend final : public AccelBackend
     execute(const OpDesc &) override
     {
         executes++;
-        return fail ? Status::error(ErrorCode::DeviceFailed,
-                                    "scripted failure")
-                    : Status();
+        return fail ? Status::error(code, "scripted failure") : Status();
     }
 
     unsigned executes = 0;
     bool fail = false;
+    ErrorCode code = ErrorCode::DeviceFailed;
 };
 
 TEST(Dispatcher, NoBackendFallbackExecutesHostFn)
@@ -337,6 +307,39 @@ TEST(Dispatcher, BackendErrorRerunsHostWhenSafe)
     EXPECT_EQ(s.of(OpKind::Axpy).fallbackBy[static_cast<std::size_t>(
                   FallbackReason::BackendError)],
               2u);
+}
+
+TEST(Dispatcher, DeclineBeforeSubmissionFallsBackEvenWhenNotRerunSafe)
+{
+    // InvalidArgument is the backend refusing the call before it runs:
+    // even an accumulating saxpy falls back to the host, once, and the
+    // decline counts as unmappable rather than as a backend error.
+    Dispatcher disp(makePolicy("accel"));
+    FakeBackend backend;
+    backend.fail = true;
+    backend.code = ErrorCode::InvalidArgument;
+    disp.attachBackend(&backend);
+
+    std::vector<float> x{1, 2}, y{10, 20};
+    OpDesc d = lowerSaxpy(2, 3.0f, x.data(), 1, y.data(), 1);
+    ASSERT_FALSE(d.rerunSafe);
+    EXPECT_NO_THROW(disp.run(d, [&] { mkl::saxpy(2, 3.0f, x.data(), 1,
+                                                 y.data(), 1); }));
+    disp.detachBackend();
+
+    EXPECT_EQ(backend.executes, 1u);
+    EXPECT_FLOAT_EQ(y[0], 13.0f);
+    EXPECT_FLOAT_EQ(y[1], 26.0f);
+    DispatchStats s = disp.snapshot();
+    const OpStats &axpy = s.of(OpKind::Axpy);
+    EXPECT_EQ(axpy.offloaded, 0u);
+    EXPECT_EQ(axpy.fallbacks, 1u);
+    EXPECT_EQ(axpy.fallbackBy[static_cast<std::size_t>(
+                  FallbackReason::Unmappable)],
+              1u);
+    EXPECT_EQ(axpy.fallbackBy[static_cast<std::size_t>(
+                  FallbackReason::BackendError)],
+              0u);
 }
 
 TEST(Dispatcher, TelemetryJsonCarriesSchema)
@@ -481,18 +484,34 @@ TEST(RuntimeBackend, DeclinesOperandsOutsideAcceleratorMemory)
     RuntimeBackend backend(rt);
     disp.attachBackend(&backend);
 
-    // Plain heap buffers: tryPhysOf fails, the backend declines, and
-    // the rerun-safe host path produces the result.
+    // Plain heap buffers: tryPhysOf fails, the backend declines before
+    // submitting anything, and the host path produces the result.
     std::vector<float> x{1, 1, 1, 1}, y{9, 9, 9, 9};
     OpDesc d = lowerSaxpby(4, 2.0f, x.data(), 1, 0.0f, y.data(), 1);
     disp.run(d, [&] { mkl::saxpby(4, 2.0f, x.data(), 1, 0.0f,
                                   y.data(), 1); });
-    disp.detachBackend();
-
     EXPECT_FLOAT_EQ(y[0], 2.0f);
+
+    // Accumulating saxpy reads y, so it is not rerun-safe; a decline
+    // still falls back, and the C-signature call must not throw.
+    std::vector<float> expect = y;
+    mkl::saxpy(4, 2.0f, x.data(), 1, expect.data(), 1);
+    Dispatcher *prev = bindCurrentDispatcher(&disp);
+    EXPECT_NO_THROW(cblas_saxpy(4, 2.0f, x.data(), 1, y.data(), 1));
+    bindCurrentDispatcher(prev);
+    disp.detachBackend();
+    EXPECT_EQ(y, expect);
+
+    // One unmappable fallback per declined call; nothing was priced.
     DispatchStats s = disp.snapshot();
-    EXPECT_EQ(s.of(OpKind::Axpy).offloaded, 0u);
-    EXPECT_EQ(s.of(OpKind::Axpy).fallbacks, 1u);
+    const OpStats &axpy = s.of(OpKind::Axpy);
+    EXPECT_EQ(axpy.offloaded, 0u);
+    EXPECT_EQ(axpy.fallbacks, 2u);
+    EXPECT_EQ(axpy.fallbackBy[static_cast<std::size_t>(
+                  FallbackReason::Unmappable)],
+              2u);
+    EXPECT_EQ(rt.ledger().total().seconds, 0.0);
+    EXPECT_EQ(rt.ledger().total().joules, 0.0);
 }
 
 } // namespace

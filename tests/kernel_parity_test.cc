@@ -13,7 +13,10 @@
  */
 
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -638,13 +641,10 @@ TEST_F(KernelParityTest, SgemmMatchesReferenceAcrossThreadCounts)
 
 // --- SIMD ISA matrix --------------------------------------------------------
 
-// The portable SIMD layer (common/simd.hh) pins two contracts on top of
-// parity: MEALIB_SIMD=scalar reproduces the legacy loops bit for bit at
-// every thread count, and every vector level (sse4/avx2/avx512) produces
-// one common result — the fixed 8-lane virtual vector makes the ISA
-// width invisible. Values between scalar and vector levels are compared
-// with NEAR, not EQ: a native-arch build may contract the inline scalar
-// loops into FMAs while the vector backends pin contraction off.
+// The portable SIMD layer (common/simd.hh) pins one contract on top of
+// parity: every MEALIB_SIMD level, scalar included, runs the same
+// fixed 8-lane virtual-vector source, so all levels produce one common
+// result at every thread count — the ISA width is invisible.
 
 TEST_F(KernelParityTest, MapsAndReductionsMatchOracleAtEveryIsaLevel)
 {
@@ -699,7 +699,7 @@ TEST_F(KernelParityTest, MapsAndReductionsMatchOracleAtEveryIsaLevel)
                 }
             }
         }
-        // Strided calls must fall back to the legacy loops untouched.
+        // Strided calls take the plain loops.
         auto x = randomVec(201, 90);
         auto y = randomVec(201, 91);
         double dot2 = 0.0;
@@ -768,104 +768,128 @@ TEST_F(KernelParityTest, MatrixKernelsMatchNaiveAtEveryIsaLevel)
     }
 }
 
-TEST_F(KernelParityTest, ScalarLevelBitIdenticalAcrossThreadCounts)
+/** One kernel call's output, as raw bytes. */
+struct Output
 {
-    // The legacy pin: MEALIB_SIMD=scalar must reproduce the pre-SIMD
-    // library bit for bit — same chunk tree, same inline loops — at
-    // every thread count.
-    kernelTuning().simd = simd::SimdLevel::Scalar;
-    const std::int64_t n = (1 << 16) + 11;
-    auto x = randomVec(n, 120);
-    auto y = randomVec(n, 121);
+    const char *op;
+    std::vector<unsigned char> bytes;
+};
 
-    kernelTuning().numThreads = 1;
-    const float dotRef = sdot(n, x.data(), 1, y.data(), 1);
-    auto saxRef = y;
-    saxpy(n, 1.25f, x.data(), 1, saxRef.data(), 1);
+template <typename T>
+Output
+bytesOf(const char *op, const std::vector<T> &v)
+{
+    const auto *p = reinterpret_cast<const unsigned char *>(v.data());
+    return {op, std::vector<unsigned char>(p, p + v.size() * sizeof(T))};
+}
 
-    for (int threads : {2, 8}) {
-        kernelTuning().numThreads = threads;
-        float d = sdot(n, x.data(), 1, y.data(), 1);
-        EXPECT_EQ(std::memcmp(&d, &dotRef, sizeof d), 0)
-            << "threads=" << threads;
-        auto sax = y;
-        saxpy(n, 1.25f, x.data(), 1, sax.data(), 1);
-        EXPECT_EQ(std::memcmp(sax.data(), saxRef.data(),
-                              sax.size() * sizeof(float)),
-                  0)
-            << "threads=" << threads;
-    }
+template <typename T>
+Output
+bytesOf(const char *op, const T &value)
+{
+    return bytesOf(op, std::vector<T>{value});
 }
 
 TEST_F(KernelParityTest, VectorIsaLevelsBitIdenticalAcrossThreads)
 {
-    std::vector<simd::SimdLevel> vec;
-    for (simd::SimdLevel level : simd::availableLevels())
-        if (level != simd::SimdLevel::Scalar)
-            vec.push_back(level);
-    if (vec.empty())
-        GTEST_SKIP() << "no vector backend on this machine";
-
+    // Every entry of the kernel table, at every level and thread count,
+    // must produce the same bytes. A cutoff of 1 fans the matrix kernels
+    // out too; the odd sizes leave lane tails inside every chunk.
+    kernelTuning().parallelCutoff = 1;
     const std::int64_t n = (1 << 16) + 13;
     auto x = randomVec(n, 130);
     auto y = randomVec(n, 131);
-    const std::int64_t dim = 96;
+    auto cx = randomCVec(n, 134);
+    auto cy = randomCVec(n, 135);
+    const std::int64_t dim = 99;
     auto a = randomVec(dim * dim, 132);
+    auto ca = randomCVec(dim * dim, 136);
     auto fin = randomCVec(256, 133);
+    // Interior rows hold 41 nonzeros: above the CSR gather cutoff.
+    const CsrMatrix band = bandMatrix(2000, 20);
 
-    bool first = true;
-    float dotRef = 0.0f, nrmRef = 0.0f;
-    std::vector<float> saxRef, gemvRef, traRef;
-    std::vector<cfloat> fftRef;
-    for (simd::SimdLevel level : vec) {
+    auto run = [&] {
+        std::vector<Output> out;
+        out.push_back(bytesOf("sdot", sdot(n, x.data(), 1, y.data(), 1)));
+        out.push_back(bytesOf("snrm2", snrm2(n, x.data(), 1)));
+        out.push_back(bytesOf("sasum", sasum(n, x.data(), 1)));
+        out.push_back(bytesOf("isamax", isamax(n, x.data(), 1)));
+        out.push_back(
+            bytesOf("cdotc", cdotc(n, cx.data(), 1, cy.data(), 1)));
+        out.push_back(
+            bytesOf("cdotu", cdotu(n, cx.data(), 1, cy.data(), 1)));
+        auto v = y;
+        saxpy(n, 1.25f, x.data(), 1, v.data(), 1);
+        out.push_back(bytesOf("saxpy", v));
+        v = y;
+        saxpby(n, 1.25f, x.data(), 1, -0.5f, v.data(), 1);
+        out.push_back(bytesOf("saxpby", v));
+        v = y;
+        sscal(n, 0.3f, v.data(), 1);
+        out.push_back(bytesOf("sscal", v));
+        scopy(n, x.data(), 1, v.data(), 1);
+        out.push_back(bytesOf("scopy", v));
+        auto cv = cy;
+        caxpy(n, {0.7f, -1.3f}, cx.data(), 1, cv.data(), 1);
+        out.push_back(bytesOf("caxpy", cv));
+
+        std::vector<float> gy(static_cast<std::size_t>(dim));
+        std::vector<cfloat> cgy(static_cast<std::size_t>(dim));
+        std::vector<float> m(a.size());
+        for (Transpose t : {Transpose::NoTrans, Transpose::Trans}) {
+            const bool nt = t == Transpose::NoTrans;
+            sgemv(Order::RowMajor, t, dim, dim, 1.0f, a.data(), dim,
+                  x.data(), 1, 0.0f, gy.data(), 1);
+            out.push_back(bytesOf(nt ? "sgemv N" : "sgemv T", gy));
+            cgemv(Order::RowMajor, t, dim, dim, {1.0f, 0.0f}, ca.data(),
+                  dim, cx.data(), 1, {}, cgy.data(), 1);
+            out.push_back(bytesOf(nt ? "cgemv N" : "cgemv T", cgy));
+            somatcopy(Order::RowMajor, t, dim, dim, 0.5f, a.data(), dim,
+                      m.data(), dim);
+            out.push_back(bytesOf(nt ? "somatcopy N" : "somatcopy T", m));
+        }
+        sgemm(Order::RowMajor, Transpose::NoTrans, Transpose::NoTrans, dim,
+              dim, dim, 1.0f, a.data(), dim, a.data(), dim, 0.0f,
+              m.data(), dim);
+        out.push_back(bytesOf("sgemm", m));
+        std::vector<cfloat> h(ca.size());
+        cherk(Order::RowMajor, Uplo::Upper, Transpose::NoTrans, dim, dim,
+              1.0f, ca.data(), dim, 0.0f, h.data(), dim);
+        out.push_back(bytesOf("cherk", h));
+        m = a;
+        simatcopy(Order::RowMajor, Transpose::Trans, dim, dim, 0.5f,
+                  m.data(), dim, dim);
+        out.push_back(bytesOf("simatcopy", m));
+        std::vector<float> sy(static_cast<std::size_t>(band.rows));
+        scsrmv(band, x.data(), sy.data());
+        out.push_back(bytesOf("scsrmv", sy));
+        std::vector<cfloat> fout(fin.size());
+        FftPlan::dft1d(256, FftDirection::Forward)
+            .execute(fin.data(), fout.data());
+        out.push_back(bytesOf("fft", fout));
+        return out;
+    };
+
+    std::vector<Output> ref;
+    for (simd::SimdLevel level : simd::availableLevels()) {
         kernelTuning().simd = level;
         for (int threads : kThreadCounts) {
             kernelTuning().numThreads = threads;
-
-            float d = sdot(n, x.data(), 1, y.data(), 1);
-            float r = snrm2(n, x.data(), 1);
-            auto sax = y;
-            saxpy(n, 1.25f, x.data(), 1, sax.data(), 1);
-            std::vector<float> gy(static_cast<std::size_t>(dim));
-            sgemv(Order::RowMajor, Transpose::NoTrans, dim, dim, 1.0f,
-                  a.data(), dim, x.data(), 1, 0.0f, gy.data(), 1);
-            std::vector<float> tb(a.size());
-            somatcopy(Order::RowMajor, Transpose::Trans, dim, dim, 1.0f,
-                      a.data(), dim, tb.data(), dim);
-            std::vector<cfloat> fout(fin.size());
-            FftPlan::dft1d(256, FftDirection::Forward)
-                .execute(fin.data(), fout.data());
-
-            if (first) {
-                dotRef = d;
-                nrmRef = r;
-                saxRef = sax;
-                gemvRef = gy;
-                traRef = tb;
-                fftRef = fout;
-                first = false;
+            std::vector<Output> got = run();
+            if (ref.empty()) {
+                ref = std::move(got);
                 continue;
             }
-            EXPECT_EQ(std::memcmp(&d, &dotRef, sizeof d), 0)
-                << simd::name(level) << " threads=" << threads;
-            EXPECT_EQ(std::memcmp(&r, &nrmRef, sizeof r), 0)
-                << simd::name(level) << " threads=" << threads;
-            EXPECT_EQ(std::memcmp(sax.data(), saxRef.data(),
-                                  sax.size() * sizeof(float)),
-                      0)
-                << simd::name(level) << " threads=" << threads;
-            EXPECT_EQ(std::memcmp(gy.data(), gemvRef.data(),
-                                  gy.size() * sizeof(float)),
-                      0)
-                << simd::name(level) << " threads=" << threads;
-            EXPECT_EQ(std::memcmp(tb.data(), traRef.data(),
-                                  tb.size() * sizeof(float)),
-                      0)
-                << simd::name(level) << " threads=" << threads;
-            EXPECT_EQ(std::memcmp(fout.data(), fftRef.data(),
-                                  fout.size() * sizeof(cfloat)),
-                      0)
-                << simd::name(level) << " threads=" << threads;
+            ASSERT_EQ(got.size(), ref.size());
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                ASSERT_EQ(got[i].bytes.size(), ref[i].bytes.size());
+                EXPECT_EQ(std::memcmp(got[i].bytes.data(),
+                                      ref[i].bytes.data(),
+                                      got[i].bytes.size()),
+                          0)
+                    << got[i].op << " at " << simd::name(level) << " x "
+                    << threads << " threads";
+            }
         }
     }
 }
@@ -880,14 +904,68 @@ TEST_F(KernelParityTest, SimdLevelResolutionClampsToDetected)
     EXPECT_LE(static_cast<int>(simd::resolveLevel(simd::SimdLevel::Auto)),
               static_cast<int>(detected));
     EXPECT_EQ(simd::resolveLevel(simd::SimdLevel::Auto), detected);
-    // Every advertised level must come with a kernel table (scalar's is
-    // the null table — the inline legacy loops).
+    // Every advertised level resolves to its own kernel table.
+    std::vector<const simd::Kernels *> tables;
     for (simd::SimdLevel level : simd::availableLevels()) {
-        if (level == simd::SimdLevel::Scalar)
-            EXPECT_EQ(simd::tableFor(level), nullptr);
-        else
-            EXPECT_NE(simd::tableFor(level), nullptr);
+        const simd::Kernels *t = &simd::tableFor(level);
+        for (const simd::Kernels *seen : tables)
+            EXPECT_NE(t, seen) << simd::name(level);
+        tables.push_back(t);
     }
+}
+
+TEST_F(KernelParityTest, EveryLevelHasACompleteKernelTable)
+{
+    // The kernels call through the table with no fallback loop, so every
+    // level a request can resolve to, scalar and auto included, must
+    // fill every entry, and active() must follow the tuning.
+    static_assert(sizeof(simd::Kernels) == 14 * sizeof(void (*)()),
+                  "list every Kernels entry below");
+    for (int l = 0; l <= static_cast<int>(simd::SimdLevel::Auto); ++l) {
+        const auto level = static_cast<simd::SimdLevel>(l);
+        const simd::Kernels &k = simd::tableFor(level);
+        const bool filled[] = {
+            k.saxpy != nullptr,        k.saxpby != nullptr,
+            k.sscal != nullptr,        k.scopy != nullptr,
+            k.scopyScale != nullptr,   k.caxpy != nullptr,
+            k.sdot != nullptr,         k.sasum != nullptr,
+            k.slassq != nullptr,       k.isamax != nullptr,
+            k.cdot != nullptr,         k.csrdot != nullptr,
+            k.fftButterfly != nullptr, k.somatTile != nullptr};
+        for (std::size_t i = 0; i < sizeof filled / sizeof filled[0]; ++i)
+            EXPECT_TRUE(filled[i]) << simd::name(level) << " entry " << i;
+        kernelTuning().simd = level;
+        EXPECT_EQ(&simd::active(), &k) << simd::name(level);
+    }
+}
+
+TEST_F(KernelParityTest, TuningEnvironmentSelectsThreadsAndLevelOnly)
+{
+    // Only MEALIB_NUM_THREADS and MEALIB_SIMD are read. The reduction
+    // chunk, tile and block sizes are constants of the summation order,
+    // and the parallel cutoff is set from code, so the variables that
+    // once named them must change nothing.
+    const char *const vars[][2] = {{"MEALIB_NUM_THREADS", "3"},
+                                   {"MEALIB_SIMD", "scalar"},
+                                   {"MEALIB_PARALLEL_CUTOFF", "1"},
+                                   {"MEALIB_REDUCE_CHUNK", "7"},
+                                   {"MEALIB_TILE", "5"},
+                                   {"MEALIB_GEMM_BLOCK", "5"}};
+    std::vector<std::pair<const char *, std::string>> saved;
+    for (const auto &v : vars) {
+        if (const char *old = std::getenv(v[0]))
+            saved.emplace_back(v[0], old);
+        setenv(v[0], v[1], 1);
+    }
+    const KernelTuning t = KernelTuning::fromEnv();
+    for (const auto &v : vars)
+        unsetenv(v[0]);
+    for (const auto &[var, value] : saved)
+        setenv(var, value.c_str(), 1);
+
+    EXPECT_EQ(t.numThreads, 3);
+    EXPECT_EQ(t.simd, simd::SimdLevel::Scalar);
+    EXPECT_EQ(t.parallelCutoff, KernelTuning{}.parallelCutoff);
 }
 
 } // namespace
