@@ -197,18 +197,27 @@ void
 DescriptorProgram::validate() const
 {
     fatalIf(instrs.empty(), "descriptor: empty program");
+    std::size_t passStart = 0; // first instruction of the open pass
+    std::size_t loopEnd = 0;   // one past the active LOOP body
     for (std::size_t i = 0; i < instrs.size(); ++i) {
         const Instr &in = instrs[i];
-        if (in.type == Instr::Type::Loop) {
-            fatalIf(in.bodyCount == 0, "descriptor: empty LOOP body");
-            fatalIf(i + in.bodyCount >= instrs.size(),
-                    "descriptor: LOOP body exceeds program");
-            // Nested loops are not supported by the decode unit; the
-            // multi-dimensional LoopSpec covers nests instead.
-            for (std::size_t j = i + 1; j <= i + in.bodyCount; ++j)
-                fatalIf(instrs[j].type == Instr::Type::Loop,
-                        "descriptor: nested LOOP blocks not supported");
-        }
+        if (in.type == Instr::Type::PassEnd)
+            passStart = i + 1;
+        if (in.type != Instr::Type::Loop)
+            continue;
+        fatalIf(in.bodyCount == 0, "descriptor: empty LOOP body");
+        fatalIf(i + in.bodyCount >= instrs.size(),
+                "descriptor: LOOP body exceeds program");
+        // Nested loops are not supported by the decode unit; the
+        // multi-dimensional LoopSpec covers nests instead.
+        fatalIf(i < loopEnd, "descriptor: nested LOOP blocks not supported");
+        // A LOOP repeats whole passes: its head sits between passes and
+        // its body closes the last pass it covers.
+        fatalIf(i != passStart, "descriptor: LOOP inside an open PASS");
+        fatalIf(instrs[i + in.bodyCount].type != Instr::Type::PassEnd,
+                "descriptor: LOOP body must end with PASS_END");
+        loopEnd = i + 1 + in.bodyCount;
+        passStart = i + 1;
     }
     fatalIf(instrs.back().type != Instr::Type::PassEnd,
             "descriptor: program must end with PASS_END");
@@ -218,19 +227,10 @@ std::uint64_t
 DescriptorProgram::expandedCompCount() const
 {
     std::uint64_t count = 0;
-    for (std::size_t i = 0; i < instrs.size(); ++i) {
-        const Instr &in = instrs[i];
-        if (in.type == Instr::Type::Comp) {
-            count += 1;
-        } else if (in.type == Instr::Type::Loop) {
-            std::uint64_t body = 0;
-            for (std::size_t j = i + 1;
-                 j <= i + in.bodyCount && j < instrs.size(); ++j)
-                body += instrs[j].type == Instr::Type::Comp ? 1 : 0;
-            count += body * in.loop.iterations();
-            i += in.bodyCount;
-        }
-    }
+    forEachPass(*this, [&](std::span<const Instr> comps,
+                           const LoopSpec &loop) {
+        count += comps.size() * loop.iterations();
+    });
     return count;
 }
 

@@ -17,6 +17,8 @@
 #define MEALIB_ACCEL_DESCRIPTOR_HH
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "accel/ops.hh"
@@ -86,12 +88,59 @@ struct DescriptorProgram
         instrs.push_back(i);
     }
 
-    /** fatal() if the program is structurally invalid. */
+    /**
+     * fatal() if the program is structurally invalid. A valid program
+     * is a sequence of PASSes (COMPs closed by a PASS_END). A LOOP
+     * head sits between passes and its body is one or more whole
+     * passes, so it ends with a PASS_END; loops do not nest.
+     */
     void validate() const;
 
     /** Number of accelerator invocations including loop expansion. */
     std::uint64_t expandedCompCount() const;
 };
+
+/**
+ * Visit every non-empty PASS of @p prog in program order:
+ * @p fn(comps, loop) gets the pass's COMP instructions and the LOOP
+ * that repeats the whole pass (a unit loop outside LOOP bodies). This
+ * is the one reading of the structure validate() defines; @p prog must
+ * pass validate().
+ */
+template <typename Fn>
+void
+forEachPass(const DescriptorProgram &prog, Fn &&fn)
+{
+    const std::span<const Instr> instrs(prog.instrs);
+    LoopSpec loop;
+    std::size_t loopEnd = 0; // one past the active LOOP body
+    std::size_t first = 0;   // first instruction of the open pass
+    for (std::size_t i = 0; i < instrs.size(); ++i) {
+        if (instrs[i].type == Instr::Type::Loop) {
+            loop = instrs[i].loop;
+            loopEnd = i + 1 + instrs[i].bodyCount;
+            first = i + 1;
+        } else if (instrs[i].type == Instr::Type::PassEnd) {
+            if (i > first)
+                fn(instrs.subspan(first, i - first), std::as_const(loop));
+            first = i + 1;
+            if (first == loopEnd)
+                loop = LoopSpec{};
+        }
+    }
+}
+
+/** Visit every COMP of @p prog with the LOOP of its pass. */
+template <typename Fn>
+void
+forEachComp(const DescriptorProgram &prog, Fn &&fn)
+{
+    forEachPass(prog, [&](std::span<const Instr> comps,
+                          const LoopSpec &loop) {
+        for (const Instr &c : comps)
+            fn(c.call, loop);
+    });
+}
 
 /** Byte offsets of the binary image. */
 inline constexpr std::uint64_t kCrBytes = 32;

@@ -14,16 +14,6 @@ namespace mealib::accel {
 
 namespace {
 
-/** Elements a strided vector of length n spans. */
-std::uint64_t
-spanElems(std::uint64_t n, std::int64_t inc)
-{
-    if (n == 0)
-        return 0;
-    std::uint64_t mag = static_cast<std::uint64_t>(inc < 0 ? -inc : inc);
-    return 1 + (n - 1) * mag;
-}
-
 /** Output bytes of one iteration of @p c (for the chaining credit). */
 double
 outputBytes(const OpCall &c)
@@ -56,19 +46,8 @@ outputBytes(const OpCall &c)
 AcceleratorLayer::AcceleratorLayer(const dram::DramParams &dram,
                                    const noc::MeshParams &mesh,
                                    bool functional)
-    : dramParams_(dram), functional_(functional)
+    : dramParams_(dram), meshParams_(mesh), functional_(functional)
 {
-    for (std::size_t k = 0; k < models_.size(); ++k) {
-        auto kind = static_cast<AccelKind>(k);
-        models_[k] = std::make_unique<AccelModel>(
-            kind, defaultConfig(kind), dram, mesh);
-    }
-}
-
-const AccelModel &
-AcceleratorLayer::model(AccelKind kind) const
-{
-    return *models_[static_cast<std::size_t>(kind)];
 }
 
 void
@@ -205,9 +184,7 @@ void
 AcceleratorLayer::accountComp(const OpCall &call, const LoopSpec &loop,
                               ExecStats &stats) const
 {
-    AccelEstimate est =
-        models_[static_cast<std::size_t>(call.kind)]->estimate(call,
-                                                               loop);
+    AccelEstimate est = estimate(call, loop, dramParams_, meshParams_);
     const char *key = name(call.kind);
     stats.timeByAccel.add(key, est.total.seconds);
     stats.energyByAccel.add(key, est.total.joules);
@@ -270,67 +247,37 @@ AcceleratorLayer::execute(const DescriptorProgram &prog,
     stats.invocation.seconds +=
         costs_.fetchPerInstrS * static_cast<double>(prog.instrs.size());
 
-    LoopSpec active_loop;           // unit loop outside LOOP bodies
-    std::uint32_t loop_remaining = 0;
-    std::vector<OpCall> pass_comps; // comps of the pass being built
-    LoopSpec pass_loop;
-
-    auto flush_pass = [&]() {
-        if (pass_comps.empty())
-            return;
+    forEachPass(prog, [&](std::span<const Instr> pass,
+                          const LoopSpec &loop) {
         stats.passes++;
         // DU: configure every accelerator in the pass, then kick off.
         stats.invocation.seconds +=
             costs_.passStartS +
-            costs_.accelInitS * static_cast<double>(pass_comps.size());
+            costs_.accelInitS * static_cast<double>(pass.size());
 
-        for (const OpCall &c : pass_comps)
-            accountComp(c, pass_loop, stats);
-        for (std::size_t i = 0; i + 1 < pass_comps.size(); ++i) {
-            if (pass_comps[i + 1].in0.base == pass_comps[i].out.base)
-                creditChaining(pass_comps[i], pass_comps[i + 1],
-                               pass_loop, stats);
+        for (const Instr &c : pass)
+            accountComp(c.call, loop, stats);
+        for (std::size_t i = 0; i + 1 < pass.size(); ++i) {
+            if (pass[i + 1].call.in0.base == pass[i].call.out.base)
+                creditChaining(pass[i].call, pass[i + 1].call, loop,
+                               stats);
         }
 
         if (functional_) {
             std::array<std::uint32_t, kMaxLoopDims> idx{0, 0, 0, 0};
-            std::uint64_t iters = pass_loop.iterations();
+            std::uint64_t iters = loop.iterations();
             for (std::uint64_t it = 0; it < iters; ++it) {
-                for (const OpCall &c : pass_comps)
-                    executeComp(c, idx, mem);
+                for (const Instr &c : pass)
+                    executeComp(c.call, idx, mem);
                 for (unsigned d = kMaxLoopDims; d-- > 0;) {
-                    if (++idx[d] < pass_loop.dims[d])
+                    if (++idx[d] < loop.dims[d])
                         break;
                     idx[d] = 0;
                 }
             }
         }
-        stats.compsExecuted +=
-            pass_comps.size() * pass_loop.iterations();
-        pass_comps.clear();
-    };
-
-    for (const Instr &in : prog.instrs) {
-        switch (in.type) {
-          case Instr::Type::Loop:
-            fatalIf(!pass_comps.empty(),
-                    "descriptor: LOOP inside an open PASS");
-            active_loop = in.loop;
-            loop_remaining = in.bodyCount;
-            continue; // the head itself doesn't consume body slots
-          case Instr::Type::Comp:
-            if (pass_comps.empty())
-                pass_loop = loop_remaining ? active_loop : LoopSpec{};
-            pass_comps.push_back(in.call);
-            break;
-          case Instr::Type::PassEnd:
-            flush_pass();
-            break;
-        }
-        if (loop_remaining && --loop_remaining == 0)
-            active_loop = LoopSpec{};
-    }
-    flush_pass(); // tolerate a missing trailing PASS_END after validate()
+        stats.compsExecuted += pass.size() * loop.iterations();
+    });
 
     stats.invocation.joules =
         costs_.configUnitPowerW * stats.invocation.seconds;

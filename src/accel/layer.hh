@@ -5,18 +5,17 @@
  * configuration unit (FetchUnit + IMEM + DecodeUnit).
  *
  * AcceleratorLayer::execute() is the DecodeUnit: it walks a decoded
- * descriptor pass by pass, functionally computes every COMP against the
- * simulated physical memory, and accounts time/energy through the
- * per-kind analytical models. Chained COMPs inside one PASS stream
- * intermediates tile-to-tile instead of round-tripping through DRAM —
- * the hardware-chaining benefit measured in Fig. 12a.
+ * descriptor pass by pass (accel::forEachPass), functionally computes
+ * every COMP against the simulated physical memory, and accounts
+ * time/energy through accel::estimate. Chained COMPs inside one PASS
+ * stream intermediates tile-to-tile instead of round-tripping through
+ * DRAM — the hardware-chaining benefit measured in Fig. 12a.
  */
 
 #ifndef MEALIB_ACCEL_LAYER_HH
 #define MEALIB_ACCEL_LAYER_HH
 
 #include <array>
-#include <memory>
 
 #include "accel/descriptor.hh"
 #include "accel/model.hh"
@@ -90,9 +89,6 @@ class AcceleratorLayer
      */
     ExecStats execute(const DescriptorProgram &prog, dram::PhysMem &mem);
 
-    /** Model for one accelerator kind (for design-space queries). */
-    const AccelModel &model(AccelKind kind) const;
-
     const ConfigCosts &costs() const { return costs_; }
     bool functional() const { return functional_; }
 
@@ -111,11 +107,9 @@ class AcceleratorLayer
                         const LoopSpec &loop, ExecStats &stats) const;
 
     dram::DramParams dramParams_;
+    noc::MeshParams meshParams_;
     ConfigCosts costs_;
     bool functional_;
-    std::array<std::unique_ptr<AccelModel>,
-               static_cast<std::size_t>(AccelKind::kCount)>
-        models_;
 };
 
 } // namespace mealib::accel

@@ -21,8 +21,7 @@ constexpr double kIterStartupCycles = 16.0;
 AccelModel::AccelModel(AccelKind kind, const AccelConfig &cfg,
                        const dram::DramParams &dram,
                        const noc::MeshParams &mesh)
-    : kind_(kind), cfg_(cfg), dramParams_(dram), mesh_(mesh),
-      stack_(std::make_unique<dram::Stack>(dram))
+    : kind_(kind), cfg_(cfg), dramParams_(dram), mesh_(mesh)
 {
 }
 
@@ -150,7 +149,9 @@ AccelModel::estimate(const OpCall &call, const LoopSpec &loop) const
     fatalIf(iters == 0, "estimate: empty loop");
 
     TraceInfo info = buildTrace(call, loop);
-    dram::RunStats mem = stack_->run(info.trace);
+    // Stack::run starts from idle vaults, so a fresh stack per
+    // estimate prices exactly what a reused one would.
+    dram::RunStats mem = dram::Stack(dramParams_).run(info.trace);
 
     AccelEstimate e;
     e.memSeconds = mem.seconds;
@@ -217,6 +218,14 @@ AccelModel::estimate(const OpCall &call, const LoopSpec &loop) const
     e.total.seconds = t;
     e.total.joules = e.dramEnergyJ + e.logicEnergyJ + e.nocEnergyJ;
     return e;
+}
+
+AccelEstimate
+estimate(const OpCall &call, const LoopSpec &loop,
+         const dram::DramParams &dram, const noc::MeshParams &mesh)
+{
+    return AccelModel(call.kind, defaultConfig(call.kind), dram, mesh)
+        .estimate(call, loop);
 }
 
 } // namespace mealib::accel

@@ -9,8 +9,6 @@
 #ifndef MEALIB_ACCEL_MODEL_HH
 #define MEALIB_ACCEL_MODEL_HH
 
-#include <memory>
-
 #include "accel/config.hh"
 #include "accel/ops.hh"
 #include "common/units.hh"
@@ -100,11 +98,16 @@ class AccelModel
     AccelConfig cfg_;
     dram::DramParams dramParams_;
     noc::Mesh mesh_;
-    // The stack is mutated during trace simulation; the model is
-    // logically const, so keep it behind a unique_ptr and reset state
-    // per estimate.
-    std::unique_ptr<dram::Stack> stack_;
 };
+
+/**
+ * Price @p call iterated over @p loop on its kind's defaultConfig() —
+ * the one pricing entry of the runtime, the dispatch cost model and
+ * the platform evaluation.
+ */
+AccelEstimate estimate(const OpCall &call, const LoopSpec &loop,
+                       const dram::DramParams &dram,
+                       const noc::MeshParams &mesh);
 
 } // namespace mealib::accel
 

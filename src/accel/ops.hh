@@ -80,6 +80,17 @@ struct OperandRef
     }
 };
 
+/** Elements a strided vector of @p n elements spans (|inc| apart). */
+inline std::uint64_t
+spanElems(std::uint64_t n, std::int64_t inc)
+{
+    if (n == 0)
+        return 0;
+    const std::uint64_t mag =
+        static_cast<std::uint64_t>(inc < 0 ? -inc : inc);
+    return 1 + (n - 1) * mag;
+}
+
 /** One accelerator invocation (a COMP block in TDL terms). */
 struct OpCall
 {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "accel/config.hh"
 #include "accel/model.hh"
 
 namespace mealib::dispatch {
@@ -148,10 +147,8 @@ RooflineCostModel::accelSeconds(const OpDesc &desc) const
     }
     Key key = keyOf(desc, window);
 
-    accel::AccelKind kind = accelKindOf(desc.kind);
-    accel::AccelModel model(kind, accel::defaultConfig(kind),
-                            machine_.stackDram, machine_.mesh);
-    accel::AccelEstimate e = model.estimate(desc.call, desc.loop);
+    accel::AccelEstimate e = accel::estimate(
+        desc.call, desc.loop, machine_.stackDram, machine_.mesh);
     // Invocation overhead: the host must flush the input footprint out
     // of its caches before the memory-side units read DRAM directly,
     // then copy the descriptor and ring the START doorbell.

@@ -134,6 +134,21 @@ class Stack
     Owner owner_ = Owner::None;
 };
 
+/** Scoped Stack::acquire: releases on every exit, so a throw while the
+ * owner works cannot leave the stack held. */
+class StackOwnership
+{
+  public:
+    StackOwnership(Stack &s, Owner o) : stack_(s), owner_(o) { s.acquire(o); }
+    ~StackOwnership() { stack_.release(owner_); }
+    StackOwnership(const StackOwnership &) = delete;
+    StackOwnership &operator=(const StackOwnership &) = delete;
+
+  private:
+    Stack &stack_;
+    Owner owner_;
+};
+
 } // namespace mealib::dram
 
 #endif // MEALIB_DRAM_STACK_HH

@@ -154,11 +154,9 @@ evaluateOp(Platform platform, const Workload &w)
             platform == Platform::Psas   ? hwmodel::ddr3Params(2)
             : platform == Platform::Msas ? hwmodel::ddr3Params(8)
                                          : hwmodel::hmcStackParams();
-        accel::AccelModel model(w.call.kind,
-                                accel::defaultConfig(w.call.kind), d,
-                                hwmodel::mealibMeshParams());
-        accel::AccelEstimate e = model.estimate(w.call, w.loop);
-        r.cost = e.total;
+        r.cost = accel::estimate(w.call, w.loop, d,
+                                 hwmodel::mealibMeshParams())
+                     .total;
         r.bytes = w.call.trafficBytes() * iters;
         return r;
       }

@@ -21,33 +21,23 @@ struct OperandSpan
     bool write;
 };
 
-/** Bytes a strided vector of @p n elements spans. */
-std::uint64_t
-strideSpan(std::uint64_t n, std::int64_t inc, std::uint64_t elem)
-{
-    if (n == 0)
-        return 0;
-    std::uint64_t mag = static_cast<std::uint64_t>(inc < 0 ? -inc : inc);
-    return (1 + (n - 1) * mag) * elem;
-}
-
 /** Per-iteration operand footprints of @p c, mirroring the functional
  * executor's accesses (AcceleratorLayer::executeComp). */
 std::vector<OperandSpan>
 operandSpans(const OpCall &c)
 {
     const std::uint64_t es = c.elemBytes();
+    // Spans of the BLAS-1 style vectors strided by inc0 / inc1.
+    const std::uint64_t x = accel::spanElems(c.n, c.inc0) * es;
+    const std::uint64_t y = accel::spanElems(c.n, c.inc1) * es;
     switch (c.kind) {
       case AccelKind::AXPY:
-        return {{&c.in0, strideSpan(c.n, c.inc0, es), false},
-                {&c.out, strideSpan(c.n, c.inc1, es), true}};
+        return {{&c.in0, x, false}, {&c.out, y, true}};
       case AccelKind::DOT:
-        return {{&c.in0, strideSpan(c.n, c.inc0, es), false},
-                {&c.in1, strideSpan(c.n, c.inc1, es), false},
-                {&c.out, es, true}};
+        return {{&c.in0, x, false}, {&c.in1, y, false}, {&c.out, es, true}};
       case AccelKind::GEMV:
         return {{&c.in0, c.m * c.n * es, false},
-                {&c.in1, strideSpan(c.n, c.inc0, es), false},
+                {&c.in1, x, false},
                 {&c.out, c.m * es, true}};
       case AccelKind::SPMV:
         return {{&c.in0, (c.m + 1) * 8, false},
@@ -97,23 +87,11 @@ std::vector<AccessInterval>
 accessIntervals(const accel::DescriptorProgram &prog)
 {
     std::vector<AccessInterval> out;
-    LoopSpec active;
-    std::uint32_t remaining = 0;
-    for (const Instr &in : prog.instrs) {
-        if (in.type == Instr::Type::Loop) {
-            active = in.loop;
-            remaining = in.bodyCount;
-            continue;
-        }
-        if (in.type == Instr::Type::Comp) {
-            const LoopSpec loop = remaining ? active : LoopSpec{};
-            for (const OperandSpan &span : operandSpans(in.call))
-                if (span.bytes > 0)
-                    out.push_back(expand(span, loop));
-        }
-        if (remaining && --remaining == 0)
-            active = LoopSpec{};
-    }
+    accel::forEachComp(prog, [&](const OpCall &c, const LoopSpec &loop) {
+        for (const OperandSpan &span : operandSpans(c))
+            if (span.bytes > 0)
+                out.push_back(expand(span, loop));
+    });
     return out;
 }
 

@@ -377,26 +377,12 @@ MealibRuntime::remotePenalty(const accel::DescriptorProgram &prog,
     // links: cheaper than going through the host, but far below the
     // internal TSV bandwidth (Sec. 3.3).
     double bytes = 0.0;
-    accel::LoopSpec active;
-    std::uint32_t remaining = 0;
-    for (const accel::Instr &in : prog.instrs) {
-        if (in.type == accel::Instr::Type::Loop) {
-            active = in.loop;
-            remaining = in.bodyCount;
-            continue;
-        }
-        if (in.type == accel::Instr::Type::Comp) {
-            accel::LoopSpec loop = remaining ? active
-                                             : accel::LoopSpec{};
-            for (const accel::OperandTraffic &t :
-                 accel::operandTraffic(in.call, loop)) {
-                if (stackOf(t.op->base) != home)
-                    bytes += t.bytes;
-            }
-        }
-        if (remaining && --remaining == 0)
-            active = accel::LoopSpec{};
-    }
+    accel::forEachComp(prog, [&](const accel::OpCall &c,
+                                 const accel::LoopSpec &loop) {
+        for (const accel::OperandTraffic &t : accel::operandTraffic(c, loop))
+            if (stackOf(t.op->base) != home)
+                bytes += t.bytes;
+    });
     if (remoteBytes)
         *remoteBytes = bytes;
 
@@ -675,9 +661,12 @@ MealibRuntime::executeFunctional(const Plan &plan, unsigned stackIdx)
     };
     const std::uint64_t srcSum = verifyFunctional ? readChecksum() : 0;
 
-    stacks_[stackIdx]->acquire(dram::Owner::Accelerator);
-    accel::ExecStats es = layers_[stackIdx]->execute(prog, *mem_);
-    stacks_[stackIdx]->release(dram::Owner::Accelerator);
+    accel::ExecStats es;
+    {
+        dram::StackOwnership own(*stacks_[stackIdx],
+                                 dram::Owner::Accelerator);
+        es = layers_[stackIdx]->execute(prog, *mem_);
+    }
 
     if (verifyFunctional) {
         panicIf(readChecksum() != srcSum,

@@ -50,8 +50,8 @@ Session::init(const SessionOptions &opts)
                       ? dispatch::policyFromEnv()
                       : dispatch::makePolicy(opts.policy);
     dispatcher_.setPolicy(std::move(policy)); // null resets to HostOnly
-    dispatcher_.setCostModel(
-        std::make_shared<dispatch::RooflineCostModel>(machine_));
+    auto costs = std::make_shared<dispatch::RooflineCostModel>(machine_);
+    dispatcher_.setCostModel(costs);
     dispatcher_.attachLedger(&ledger_);
     if (opts.attachBackend) {
         const unsigned window =
@@ -60,6 +60,8 @@ Session::init(const SessionOptions &opts)
         backend_ =
             std::make_unique<dispatch::RuntimeBackend>(rt_, window);
         dispatcher_.attachBackend(backend_.get());
+        // Price the window the backend actually fuses.
+        costs->setFusionWindow(backend_->fusionWindow());
     }
 }
 

@@ -4,6 +4,7 @@
 
 #include "accel/descriptor.hh"
 #include "common/logging.hh"
+#include "runtime/runtime.hh"
 
 namespace mealib::accel {
 namespace {
@@ -132,6 +133,92 @@ TEST(Descriptor, NestedLoopIsFatal)
     p.addComp(sampleCall(AccelKind::AXPY));
     p.addPassEnd();
     EXPECT_THROW(encode(p), FatalError);
+}
+
+/** LOOP(4, body 1) COMP COMP PASS_END: the body ends inside a pass. */
+DescriptorProgram
+loopEndsInsidePass()
+{
+    DescriptorProgram p;
+    LoopSpec loop;
+    loop.dims = {4, 1, 1, 1};
+    p.addLoop(loop, 1);
+    p.addComp(sampleCall(AccelKind::AXPY));
+    p.addComp(sampleCall(AccelKind::AXPY));
+    p.addPassEnd();
+    return p;
+}
+
+/** COMP LOOP COMP PASS_END: the LOOP head opens inside a pass. */
+DescriptorProgram
+loopInsideOpenPass()
+{
+    DescriptorProgram p;
+    p.addComp(sampleCall(AccelKind::AXPY));
+    p.addLoop(LoopSpec{}, 2);
+    p.addComp(sampleCall(AccelKind::AXPY));
+    p.addPassEnd();
+    return p;
+}
+
+TEST(Descriptor, LoopMustRepeatWholePasses)
+{
+    for (const DescriptorProgram &p :
+         {loopEndsInsidePass(), loopInsideOpenPass()}) {
+        EXPECT_THROW(p.validate(), FatalError);
+        EXPECT_THROW(encode(p), FatalError);
+    }
+}
+
+TEST(Descriptor, MalformedLoopFailsAtAccPlan)
+{
+    runtime::RuntimeConfig cfg;
+    cfg.backingBytes = 16_MiB;
+    runtime::MealibRuntime rt(cfg);
+    runtime::MealibRuntime fresh(cfg);
+    EXPECT_THROW(rt.accPlan(loopEndsInsidePass()), FatalError);
+    EXPECT_THROW(rt.accPlan(loopInsideOpenPass()), FatalError);
+    // Nothing was registered: the next plan gets a fresh runtime's
+    // first handle.
+    DescriptorProgram ok;
+    ok.addComp(sampleCall(AccelKind::AXPY));
+    ok.addPassEnd();
+    EXPECT_EQ(rt.accPlan(ok), fresh.accPlan(ok));
+}
+
+TEST(Descriptor, ForEachPassRepeatsWholePasses)
+{
+    // LOOP(3, body 5) {AXPY DOT} {FFT} ; {} ; {GEMV}
+    DescriptorProgram p;
+    LoopSpec loop;
+    loop.dims = {3, 1, 1, 1};
+    p.addLoop(loop, 5);
+    p.addComp(sampleCall(AccelKind::AXPY));
+    p.addComp(sampleCall(AccelKind::DOT));
+    p.addPassEnd();
+    p.addComp(sampleCall(AccelKind::FFT));
+    p.addPassEnd();
+    p.addPassEnd();
+    p.addComp(sampleCall(AccelKind::GEMV));
+    p.addPassEnd();
+    p.validate();
+
+    std::vector<std::pair<std::size_t, std::uint64_t>> passes;
+    forEachPass(p, [&](std::span<const Instr> comps, const LoopSpec &l) {
+        passes.emplace_back(comps.size(), l.iterations());
+    });
+    using Pass = std::pair<std::size_t, std::uint64_t>;
+    EXPECT_EQ(passes, (std::vector<Pass>{{2, 3}, {1, 3}, {1, 1}}));
+
+    std::vector<AccelKind> kinds;
+    forEachComp(p, [&](const OpCall &c, const LoopSpec &) {
+        kinds.push_back(c.kind);
+    });
+    EXPECT_EQ(kinds, (std::vector<AccelKind>{AccelKind::AXPY,
+                                             AccelKind::DOT,
+                                             AccelKind::FFT,
+                                             AccelKind::GEMV}));
+    EXPECT_EQ(p.expandedCompCount(), 3u * 3u + 1u);
 }
 
 TEST(Descriptor, TruncatedImageIsFatal)

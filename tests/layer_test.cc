@@ -187,14 +187,5 @@ TEST_F(LayerTest, InvocationScalesWithInstructionCount)
     EXPECT_EQ(sb.passes, 8u);
 }
 
-TEST_F(LayerTest, ModelAccessorExposesAllKinds)
-{
-    for (std::size_t k = 0;
-         k < static_cast<std::size_t>(AccelKind::kCount); ++k) {
-        auto kind = static_cast<AccelKind>(k);
-        EXPECT_EQ(layer_.model(kind).kind(), kind);
-    }
-}
-
 } // namespace
 } // namespace mealib::accel

@@ -371,6 +371,49 @@ TEST(Runtime, StackOwnershipReleasedAfterExecute)
     rt.accDestroy(h);
 }
 
+TEST(Runtime, StackOwnershipReleasedWhenExecuteThrows)
+{
+    RuntimeConfig cfg;
+    cfg.backingBytes = 16_MiB;
+    MealibRuntime rt(cfg);
+    auto *x = static_cast<float *>(rt.memAlloc(4096));
+    auto *y = static_cast<float *>(rt.memAlloc(4096));
+    for (int i = 0; i < 1024; ++i) {
+        x[i] = static_cast<float>(i);
+        y[i] = 1.0f;
+    }
+
+    // The output runs 4 KiB past the arena: the plan is well formed, so
+    // only the functional engine, inside the stack's ownership, fails.
+    OpCall bad;
+    bad.kind = AccelKind::AXPY;
+    bad.n = 1024;
+    bad.beta = 1.0f;
+    bad.in0.base = rt.physOf(x);
+    bad.out.base = rt.mem().size() - 64;
+    DescriptorProgram badProg;
+    badProg.addComp(bad);
+    badProg.addPassEnd();
+    AccPlanHandle hb = rt.accPlan(badProg);
+    EXPECT_THROW(rt.accExecute(hb), FatalError);
+    EXPECT_EQ(rt.stack().owner(), dram::Owner::None);
+    EXPECT_NO_THROW(rt.stack().acquire(dram::Owner::Cpu));
+    rt.stack().release(dram::Owner::Cpu);
+    rt.accDestroy(hb);
+
+    // The stack still serves a valid plan.
+    OpCall good = bad;
+    good.out.base = rt.physOf(y);
+    DescriptorProgram goodProg;
+    goodProg.addComp(good);
+    goodProg.addPassEnd();
+    AccPlanHandle hg = rt.accPlan(goodProg);
+    rt.accExecute(hg);
+    rt.accDestroy(hg);
+    for (int i = 0; i < 1024; ++i)
+        ASSERT_EQ(y[i], static_cast<float>(i) + 1.0f) << "i=" << i;
+}
+
 TEST(Runtime, HostWorkAccountsSeparately)
 {
     MealibRuntime rt(smallConfig());

@@ -111,6 +111,35 @@ TEST(SessionDispatch, GlobalIsStableAcrossSessions)
     EXPECT_EQ(&dispatch::Dispatcher::global(), before);
 }
 
+TEST(SessionDispatch, CostModelPricesTheBackendFusionWindow)
+{
+    // With fusion window 4 the backend pays one flush + handshake per
+    // four calls, so a 4096-float saxpy on arena buffers is cheaper on
+    // the accelerators; priced unamortized it would stay on the host.
+    runtime::RuntimeConfig cfg;
+    cfg.backingBytes = 16_MiB;
+    runtime::MealibRuntime rt(cfg);
+    SessionOptions opts;
+    opts.policy = "crossover";
+    opts.fusionWindow = 4;
+    Session s(rt, opts);
+    constexpr int kN = 4096;
+    auto *x = static_cast<float *>(rt.memAlloc(kN * 4));
+    auto *y = static_cast<float *>(rt.memAlloc(kN * 4));
+    for (int i = 0; i < kN; ++i) {
+        x[i] = static_cast<float>(i % 7);
+        y[i] = 1.0f;
+    }
+    {
+        SessionBinding bound = s.bind();
+        cblas_saxpy(kN, 0.5f, x, 1, y, 1);
+    }
+    s.sync();
+    EXPECT_EQ(s.dispatcher().snapshot().totalAccelDecisions(), 1u);
+    for (int i = 0; i < kN; ++i)
+        ASSERT_EQ(y[i], 0.5f * static_cast<float>(i % 7) + 1.0f);
+}
+
 // --- ledger attribution ------------------------------------------------
 
 TEST(SessionLedger, SingleSessionMirrorsAccountingExactly)

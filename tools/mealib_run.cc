@@ -423,18 +423,10 @@ runDispatched(runtime::MealibRuntime &rt,
         accel::LoopSpec loop;
     };
     std::vector<Unit> units;
-    for (std::size_t i = 0; i < prog.instrs.size(); ++i) {
-        const accel::Instr &in = prog.instrs[i];
-        if (in.type == accel::Instr::Type::Comp) {
-            units.push_back({in.call, accel::LoopSpec{}});
-        } else if (in.type == accel::Instr::Type::Loop) {
-            for (std::size_t j = i + 1;
-                 j <= i + in.bodyCount && j < prog.instrs.size(); ++j)
-                if (prog.instrs[j].type == accel::Instr::Type::Comp)
-                    units.push_back({prog.instrs[j].call, in.loop});
-            i += in.bodyCount;
-        }
-    }
+    accel::forEachComp(prog, [&](const accel::OpCall &call,
+                                 const accel::LoopSpec &loop) {
+        units.push_back({call, loop});
+    });
 
     for (std::uint64_t r = 0; r < repeat; ++r) {
         for (const Unit &u : units) {
@@ -447,9 +439,9 @@ runDispatched(runtime::MealibRuntime &rt,
                         up.addLoop(u.loop, 2);
                     up.addComp(u.call);
                     up.addPassEnd();
-                    rt.stack(0).acquire(dram::Owner::Accelerator);
+                    dram::StackOwnership own(rt.stack(0),
+                                             dram::Owner::Accelerator);
                     rt.layer(0).execute(up, rt.mem());
-                    rt.stack(0).release(dram::Owner::Accelerator);
                 }
                 rt.runOnHost(dispatch::hostKernelProfile(
                     hwmodel::activeProfile(), u.call, u.loop));
