@@ -3,42 +3,38 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "common/logging.hh"
+
 namespace mealib {
 
 namespace {
 
 thread_local bool tlInTask = false;
 
-std::int64_t
-envInt64(const char *name, std::int64_t fallback, std::int64_t lo,
-         std::int64_t hi)
-{
-    const char *v = std::getenv(name);
-    if (v == nullptr || *v == '\0')
-        return fallback;
-    char *end = nullptr;
-    long long parsed = std::strtoll(v, &end, 10);
-    if (end == v)
-        return fallback;
-    return std::clamp<std::int64_t>(parsed, lo, hi);
-}
-
 } // namespace
 
 KernelTuning
 KernelTuning::fromEnv()
 {
+    // A set value that does not parse as a whole, or a thread count
+    // outside what the pool can run, keeps the default with a warning.
     KernelTuning t;
-    unsigned hw = std::thread::hardware_concurrency();
-    if (hw == 0)
-        hw = 1;
-    t.numThreads = static_cast<int>(
-        envInt64("MEALIB_NUM_THREADS", static_cast<std::int64_t>(hw), 1,
-                 ThreadPool::kMaxWorkers + 1));
-    if (const char *s = std::getenv("MEALIB_SIMD"); s != nullptr && *s) {
-        simd::SimdLevel level;
-        if (simd::parseLevel(s, &level))
-            t.simd = level;
+    const unsigned hw = std::thread::hardware_concurrency();
+    t.numThreads = hw == 0 ? 1 : static_cast<int>(hw);
+    constexpr int kMaxThreads = ThreadPool::kMaxWorkers + 1;
+    if (const char *v = std::getenv("MEALIB_NUM_THREADS"); v && *v) {
+        char *end = nullptr;
+        const long n = std::strtol(v, &end, 10);
+        if (*end == '\0' && n >= 1 && n <= kMaxThreads)
+            t.numThreads = static_cast<int>(n);
+        else
+            warn("MEALIB_NUM_THREADS='", v, "' is not a thread count ",
+                 "from 1 to ", kMaxThreads, "; using ", t.numThreads);
+    }
+    if (const char *v = std::getenv("MEALIB_SIMD"); v && *v) {
+        if (!simd::parseLevel(v, &t.simd))
+            warn("MEALIB_SIMD='", v, "' is not one of scalar, sse4, ",
+                 "avx2, avx512, auto; using auto");
     }
     return t;
 }

@@ -52,8 +52,12 @@ inline constexpr std::int64_t kReduceChunk = 1 << 14;
  * Tuning knobs for the parallel kernels. None of them changes results.
  * Defaults are read from the environment on first use:
  *
- *   MEALIB_NUM_THREADS  worker threads used to partition loops
+ *   MEALIB_NUM_THREADS  worker threads used to partition loops (1-64;
+ *                       default: the hardware thread count)
  *   MEALIB_SIMD         scalar|sse4|avx2|avx512|auto kernel backend
+ *
+ * A set value that does not parse as a whole, or a thread count out of
+ * range, logs a warning and keeps the default.
  *
  * parallelCutoff (minimum elements of work before fanning out) has no
  * variable; tests lower it to force the parallel paths.

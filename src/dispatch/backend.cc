@@ -1,25 +1,11 @@
 #include "dispatch/backend.hh"
 
-#include <cstdlib>
 #include <string>
 
 #include "accel/descriptor.hh"
 #include "runtime/event.hh"
 
 namespace mealib::dispatch {
-
-unsigned
-fusionWindowFromEnv()
-{
-    const char *v = std::getenv("MEALIB_FUSION_WINDOW");
-    if (v == nullptr || *v == '\0')
-        return 1;
-    char *end = nullptr;
-    const long n = std::strtol(v, &end, 10);
-    if (end == v || *end != '\0' || n < 1)
-        return 1;
-    return static_cast<unsigned>(n);
-}
 
 Status
 RuntimeBackend::mapCall(const OpDesc &desc, accel::OpCall *out) const

@@ -68,15 +68,18 @@ makePolicy(const std::string &name)
 std::unique_ptr<OffloadPolicy>
 policyFromEnv()
 {
-    const char *env = std::getenv("MEALIB_OFFLOAD_POLICY");
-    if (env != nullptr && *env != '\0') {
-        auto policy = makePolicy(env);
-        if (policy)
-            return policy;
+    static const std::string policyName = [] {
+        const char *env = std::getenv("MEALIB_OFFLOAD_POLICY");
+        if (env == nullptr || *env == '\0')
+            return std::string("host");
+        if (makePolicy(env))
+            return std::string(env);
         warn("MEALIB_OFFLOAD_POLICY='", env,
-             "' not recognized; using host-only dispatch");
-    }
-    return std::make_unique<HostOnly>();
+             "' is not one of host, accel, crossover, calibrated; "
+             "using host");
+        return std::string("host");
+    }();
+    return makePolicy(policyName);
 }
 
 } // namespace mealib::dispatch

@@ -139,8 +139,11 @@ class Calibrated final : public OffloadPolicy
 std::unique_ptr<OffloadPolicy> makePolicy(const std::string &name);
 
 /**
- * Policy from the MEALIB_OFFLOAD_POLICY environment variable; HostOnly
- * when unset, empty or unrecognized.
+ * A fresh instance of the process's default policy. Its name comes
+ * from the MEALIB_OFFLOAD_POLICY environment variable, read once per
+ * process; HostOnly when unset or empty, and HostOnly with a warning
+ * when the value names no policy. Only the name is cached: a policy
+ * such as Calibrated keeps per-dispatcher state.
  */
 std::unique_ptr<OffloadPolicy> policyFromEnv();
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Leaf constants of the hardware-model registry: the fixed Table 5
- * areas and the DRAM-logic-layer extras (Sec. 5.2). This header is
+ * areas, the DRAM-logic-layer extras (Sec. 5.2), the inter-stack link
+ * energy and the cost oracle's invocation overhead. This header is
  * include-graph terminal (it includes nothing from the model layers) so
  * that dram/params.hh and accel/config.hh can alias these values
  * without creating a cycle with hwmodel/profile.hh, which includes
@@ -31,11 +32,17 @@ inline constexpr double kLogicLayerMuxAreaMm2 = 0.45;
 /** HMC 2011 logic-layer die area the extras are compared against. */
 inline constexpr double kLogicLayerAreaMm2 = 68.0;
 
-/** Fixed per-invocation accelerator overhead: descriptor copy plus the
- * START/DONE handshake over the host links (excludes the size-dependent
- * cache flush). Shared by the dispatch cost oracle and the runtime's
- * invocation accounting so both price offloads identically. */
+/** The dispatch cost oracle's fixed per-invocation overhead: descriptor
+ * copy plus the START/DONE handshake over the host links (excludes the
+ * size-dependent cache flush). Only the oracle reads it. The runtime
+ * prices a submitted command's handshake as descBytes / link bandwidth
+ * + 2 us, and the accelerator layer adds its fetch, configure and
+ * pass-start costs (accel::ConfigCosts), so the two prices differ. */
 inline constexpr double kHandshakeSeconds = 20.0e-6;
+
+/** Inter-stack SerDes link energy (HMC-style high-speed links), per byte
+ * of an operand read from a remote memory stack. */
+inline constexpr double kLinkJPerByte = 10.0e-12;
 
 } // namespace mealib::hwmodel
 

@@ -146,6 +146,16 @@ activeSlot()
     return active;
 }
 
+/** The canonical profile names, comma-separated, for messages. */
+std::string
+knownNames()
+{
+    std::string known;
+    for (const std::string &n : profileNames())
+        known += (known.empty() ? "" : ", ") + n;
+    return known;
+}
+
 const MachineProfile *
 resolveInitialActive()
 {
@@ -153,8 +163,8 @@ resolveInitialActive()
     if (env != nullptr && env[0] != '\0') {
         if (const MachineProfile *p = lookup(env))
             return p;
-        warn("MEALIB_MACHINE=", env, " is not a known machine; using ",
-             "haswell4770k");
+        warn("MEALIB_MACHINE='", env, "' is not one of ", knownNames(),
+             "; using haswell4770k");
     }
     return &registry().haswell;
 }
@@ -166,11 +176,8 @@ profile(const std::string &name)
 {
     const MachineProfile *p = lookup(name);
     if (p == nullptr) {
-        std::string known;
-        for (const std::string &n : profileNames())
-            known += (known.empty() ? "" : ", ") + n;
-        fatal("unknown machine profile '", name, "' (known: ", known,
-              ")");
+        fatal("unknown machine profile '", name, "' (known: ",
+              knownNames(), ")");
     }
     return *p;
 }
@@ -208,12 +215,9 @@ setActiveMachine(const std::string &name)
 {
     const MachineProfile *p = lookup(name);
     if (p == nullptr) {
-        std::string known;
-        for (const std::string &n : profileNames())
-            known += (known.empty() ? "" : ", ") + n;
         return Status::error(ErrorCode::InvalidArgument,
                              "unknown machine profile '" + name +
-                                 "' (known: " + known + ")");
+                                 "' (known: " + knownNames() + ")");
     }
     std::lock_guard<std::mutex> lock(activeMu);
     if (activePins > 0)

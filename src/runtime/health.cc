@@ -6,6 +6,14 @@
 
 namespace mealib::runtime {
 
+namespace {
+
+/** Outcomes a healthy stack's window must hold before its score is
+ * trusted. */
+constexpr unsigned kMinSamples = 4;
+
+} // namespace
+
 const char *
 name(StackHealth state)
 {
@@ -64,6 +72,39 @@ StackHealthMonitor::state(unsigned stack) const
     return slots_[stack].state;
 }
 
+bool
+StackHealthMonitor::live(unsigned stack) const
+{
+    return state(stack) != StackHealth::Dead;
+}
+
+bool
+StackHealthMonitor::selectable(unsigned stack) const
+{
+    const StackHealth s = state(stack);
+    return s == StackHealth::Healthy || s == StackHealth::Probation;
+}
+
+unsigned
+StackHealthMonitor::liveCount() const
+{
+    unsigned n = 0;
+    for (unsigned st = 0; st < slots_.size(); ++st)
+        if (live(st))
+            ++n;
+    return n;
+}
+
+unsigned
+StackHealthMonitor::selectableCount() const
+{
+    unsigned n = 0;
+    for (unsigned st = 0; st < slots_.size(); ++st)
+        if (selectable(st))
+            ++n;
+    return n;
+}
+
 double
 StackHealthMonitor::score(unsigned stack) const
 {
@@ -84,22 +125,18 @@ StackHealthMonitor::strikes(unsigned stack) const
     return slots_[stack].strikes;
 }
 
-std::vector<unsigned>
+void
 StackHealthMonitor::beginCommand(std::uint64_t cmd)
 {
-    std::vector<unsigned> changed;
     if (!enabled())
-        return changed;
-    for (unsigned st = 0; st < slots_.size(); ++st) {
-        Slot &slot = slots_[st];
+        return;
+    for (Slot &slot : slots_) {
         if (slot.state == StackHealth::Quarantined &&
             cmd >= slot.quarantinedAt + cfg_.probationAfterCommands) {
             slot.state = StackHealth::Probation;
             slot.cleanCanaries = 0;
-            changed.push_back(st);
         }
     }
-    return changed;
 }
 
 unsigned
@@ -145,7 +182,7 @@ StackHealthMonitor::recordOutcome(unsigned stack, std::uint64_t cmd,
 
     switch (slot.state) {
       case StackHealth::Healthy:
-        if (slot.window.size() >= cfg_.minSamples &&
+        if (slot.window.size() >= kMinSamples &&
             static_cast<double>(slot.faults) >=
                 cfg_.quarantineThreshold *
                     static_cast<double>(slot.window.size())) {

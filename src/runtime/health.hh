@@ -11,14 +11,13 @@
  *
  * StackHealthMonitor scores each stack over a sliding window of its
  * most recent command outcomes. When the faulted fraction crosses the
- * quarantine threshold the stack is quarantined: the scheduler's
- * availability mask steers both policies around it. After a cooldown
- * (measured in global submissions, so replay is deterministic) the
- * stack enters probation and the runtime routes canary commands to it;
- * a clean streak re-admits it, another fault re-quarantines it and
- * costs a strike. Too many strikes and the stack is declared dead for
- * good (the monitor reports Action::Die; the runtime calls
- * failStack()).
+ * quarantine threshold the stack is quarantined: the scheduler steers
+ * both policies around it. After a cooldown (measured in global
+ * submissions, so replay is deterministic) the stack enters probation
+ * and the runtime routes canary commands to it; a clean streak
+ * re-admits it, another fault re-quarantines it and costs a strike.
+ * Too many strikes and the stack is declared dead for good (the
+ * monitor reports Action::Die; the runtime calls failStack()).
  *
  *   Healthy ──score ≥ threshold──► Quarantined
  *      ▲                               │ cooldown elapses
@@ -31,6 +30,10 @@
  * Everything is a pure function of the submission stream, so a given
  * (seed, config, workload) triple quarantines and re-admits the same
  * stacks at the same points on every run.
+ *
+ * The monitor is the runtime's only record of stack lifecycle: a dead
+ * stack is failed, and the scheduler picks among live() stacks,
+ * preferring selectable() ones.
  */
 
 #ifndef MEALIB_RUNTIME_HEALTH_HH
@@ -64,12 +67,10 @@ struct HealthConfig
      * 0 disables the monitor entirely. */
     double quarantineThreshold = 0.0;
 
-    /** Sliding window length, in commands resolved on the stack. */
+    /** Sliding window length, in commands resolved on the stack. A
+     * healthy stack is judged once its window holds at least 4
+     * outcomes, so no single unlucky first command quarantines it. */
     unsigned windowCommands = 16;
-
-    /** Outcomes required before the score is trusted (no quarantine
-     * off a single unlucky first command). */
-    unsigned minSamples = 4;
 
     /** Cooldown: global submissions between quarantine entry and
      * probation. */
@@ -94,13 +95,13 @@ struct HealthConfig
 class StackHealthMonitor
 {
   public:
-    /** What the runtime must do after recordOutcome(). */
+    /** The transition recordOutcome() made. */
     enum class Action
     {
         None = 0,
-        Quarantine, //!< remove the stack from the scheduling set
-        Readmit,    //!< restore the stack to the scheduling set
-        Die,        //!< strikes exhausted: fail the stack permanently
+        Quarantine, //!< left the scheduling set
+        Readmit,    //!< back in the scheduling set
+        Die,        //!< strikes exhausted: the runtime fails the stack
     };
 
     /** Sentinel for "no stack" (canaryTarget with nothing on probation). */
@@ -115,19 +116,30 @@ class StackHealthMonitor
     /** Current lifecycle state of @p stack. */
     StackHealth state(unsigned stack) const;
 
+    /** Whether @p stack can take work at all (not dead). */
+    bool live(unsigned stack) const;
+
+    /** Whether @p stack is in the scheduling set (healthy or on
+     * probation; quarantined and dead stacks are not). */
+    bool selectable(unsigned stack) const;
+
+    /** Stacks that are live(). */
+    unsigned liveCount() const;
+
+    /** Stacks that are selectable(). */
+    unsigned selectableCount() const;
+
+    unsigned numStacks() const { return static_cast<unsigned>(slots_.size()); }
+
     /** Faulted fraction of @p stack's current window (0 when empty). */
     double score(unsigned stack) const;
 
     /** Quarantine strikes charged against @p stack so far. */
     unsigned strikes(unsigned stack) const;
 
-    /**
-     * Advance the monitor to global submission @p cmd: quarantined
-     * stacks whose cooldown has elapsed move to probation. @return the
-     * stacks that changed state (the runtime restores their scheduler
-     * availability).
-     */
-    std::vector<unsigned> beginCommand(std::uint64_t cmd);
+    /** Advance the monitor to global submission @p cmd: quarantined
+     * stacks whose cooldown has elapsed move to probation. */
+    void beginCommand(std::uint64_t cmd);
 
     /** Probation stack that should receive the next canary command,
      * or kNone. Lowest-numbered first for determinism. */

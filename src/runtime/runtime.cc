@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/logging.hh"
+#include "hwmodel/constants.hh"
 #include "hwmodel/profile.hh"
 
 namespace mealib::runtime {
@@ -27,7 +28,6 @@ RuntimeConfig::RuntimeConfig(const hwmodel::MachineProfile &m)
             : 0.0;
     integrity.checksumJPerByte = m.checksumJPerByte;
     checkpoint.journalJPerByte = m.journalJPerByte;
-    residency.enabled = residencyFromEnv();
 }
 
 Status
@@ -77,11 +77,6 @@ RuntimeConfig::validate() const
     }
     if (watchdogSeconds <= 0.0)
         return err("runtime config: watchdog timeout must be positive");
-    if (retry.backoffBaseSeconds < 0.0)
-        return err("runtime config: retry backoff base must be >= 0");
-    if (retry.backoffMultiplier < 1.0)
-        return err("runtime config: retry backoff multiplier must be "
-                   ">= 1");
     if (Status s = integrity.validate(); !s.ok())
         return s;
     if (Status s = checkpoint.validate(); !s.ok())
@@ -134,17 +129,16 @@ boundSessionLedger()
 MealibRuntime::MealibRuntime(const RuntimeConfig &cfg)
     : cfg_(validated(cfg)),
       mem_(std::make_unique<dram::PhysMem>(cfg.backingBytes)),
-      host_(cfg.hostCpu), faults_(cfg.fault), mesh_(cfg.mesh),
-      slowdown_(cfg.numStacks, 1.0),
-      health_(cfg.health, cfg.numStacks)
+      layer_(cfg.dram, cfg.mesh, cfg.functional), host_(cfg.hostCpu),
+      sched_(cfg.scheduler), faults_(cfg.fault), mesh_(cfg.mesh),
+      slowdown_(cfg.numStacks, 1.0), health_(cfg.health, cfg.numStacks)
 {
     const std::uint64_t span = cfg.backingBytes / cfg.numStacks;
     // The driver reserves the contiguous region and splits it: command
     // space first (monitored by the configuration unit), then one data
     // region per memory stack (Sec. 3.3: data should be allocated on
-    // the accelerator's Local Memory Stack). Each stack carries its own
-    // accelerator layer so independent command queues execute in
-    // parallel.
+    // the accelerator's Local Memory Stack). Each stack has its own
+    // command queue, so independent queues execute in parallel.
     cmdAlloc_ =
         std::make_unique<ContigAllocator>(0, cfg.commandBytes);
     for (unsigned st = 0; st < cfg.numStacks; ++st) {
@@ -154,11 +148,8 @@ MealibRuntime::MealibRuntime(const RuntimeConfig &cfg)
         dataAllocs_.push_back(
             std::make_unique<ContigAllocator>(base, size));
         stacks_.push_back(std::make_unique<dram::Stack>(cfg.dram));
-        layers_.push_back(std::make_unique<accel::AcceleratorLayer>(
-            cfg.dram, cfg.mesh, cfg.functional));
         queues_.emplace_back(cfg.queueDepth);
     }
-    sched_ = std::make_unique<Scheduler>(cfg.scheduler, cfg.numStacks);
 }
 
 unsigned
@@ -222,14 +213,6 @@ void *
 MealibRuntime::virtOf(Addr paddr)
 {
     return mem_->raw(paddr, 0);
-}
-
-accel::AcceleratorLayer &
-MealibRuntime::layer(unsigned stack)
-{
-    fatalIf(stack >= cfg_.numStacks, "layer: stack ", stack,
-            " out of range (", cfg_.numStacks, " stacks)");
-    return *layers_[stack];
 }
 
 dram::Stack &
@@ -392,7 +375,7 @@ MealibRuntime::remotePenalty(const accel::DescriptorProgram &prog,
         double internal_bw = cfg_.dram.peakInternalBandwidth();
         double slowdown = 1.0 / link_bw - 1.0 / internal_bw;
         c.seconds = bytes * (slowdown > 0.0 ? slowdown : 0.0);
-        c.joules = bytes * cfg_.linkJPerByte;
+        c.joules = bytes * hwmodel::kLinkJPerByte;
     }
     return c;
 }
@@ -452,11 +435,10 @@ void
 MealibRuntime::beginCommandLocked()
 {
     const fault::FaultConfig &fc = cfg_.fault;
-    if (fc.failStack != fault::kNoStack && !sched_->failed(fc.failStack) &&
+    if (fc.failStack != fault::kNoStack && health_.live(fc.failStack) &&
         cmdIndex_ >= fc.failStackAfter)
         failStackLocked(fc.failStack);
-    for (unsigned st : health_.beginCommand(cmdIndex_))
-        sched_->setAvailable(st, true);
+    health_.beginCommand(cmdIndex_);
 }
 
 Event
@@ -469,11 +451,11 @@ MealibRuntime::accSubmit(AccPlanHandle handle)
     // With no survivor left the target is moot: accSubmitOnLocked
     // reroutes an unhealthy target to the host (or a FAILED event).
     unsigned target =
-        sched_->healthyCount() > 0 ? sched_->pick(home) : home;
+        health_.liveCount() > 0 ? sched_.pick(home, health_) : home;
     // Any probation stack takes this scheduler-routed command as its
     // canary: the probe costs one real command, not synthetic traffic.
     const unsigned canary = health_.canaryTarget();
-    if (canary != StackHealthMonitor::kNone && !sched_->failed(canary))
+    if (canary != StackHealthMonitor::kNone)
         target = canary;
     return accSubmitOnLocked(plan, target);
 }
@@ -531,11 +513,11 @@ struct MealibRuntime::Submission
 Event
 MealibRuntime::accSubmitOnLocked(Plan &plan, unsigned stackIdx)
 {
-    if (sched_->failed(stackIdx)) {
+    if (!health_.live(stackIdx)) {
         // The caller's target is dead: steer to a survivor, fall back
         // to the host, or report the loss — never submit to it.
-        if (sched_->healthyCount() > 0) {
-            stackIdx = sched_->pick(stackIdx);
+        if (health_.liveCount() > 0) {
+            stackIdx = sched_.pick(stackIdx, health_);
         } else if (cfg_.retry.hostFallback) {
             return submitOnHost(plan, stackIdx);
         } else {
@@ -665,7 +647,7 @@ MealibRuntime::executeFunctional(const Plan &plan, unsigned stackIdx)
     {
         dram::StackOwnership own(*stacks_[stackIdx],
                                  dram::Owner::Accelerator);
-        es = layers_[stackIdx]->execute(prog, *mem_);
+        es = layer_.execute(prog, *mem_);
     }
 
     if (verifyFunctional) {
@@ -748,7 +730,6 @@ MealibRuntime::place(Submission &s, unsigned strikeOut)
                                   q.busyUntilSeconds());
     const double finish = start + occupancy;
     q.push(start, finish);
-    busyByStack_.add("stack" + std::to_string(s.stack), occupancy);
 
     auto state = newEventState();
     state->stack = s.stack;
@@ -896,9 +877,8 @@ MealibRuntime::failStackLocked(unsigned stackIdx)
 {
     fatalIf(stackIdx >= cfg_.numStacks, "failStack: stack ", stackIdx,
             " out of range (", cfg_.numStacks, " stacks)");
-    if (sched_->failed(stackIdx))
+    if (!health_.live(stackIdx))
         return;
-    sched_->markFailed(stackIdx);
     health_.markDead(stackIdx);
     faults_.record({fault::FaultKind::StackFailure, stackIdx,
                     cmdIndex_, 0});
@@ -908,11 +888,7 @@ MealibRuntime::failStackLocked(unsigned stackIdx)
 
     // Cancel everything still occupying the dead stack past `now`.
     const double now = hostSeconds_;
-    CommandQueue &q = queues_[stackIdx];
-    const double before = q.busySeconds();
-    q.cancelFrom(now);
-    busyByStack_.add("stack" + std::to_string(stackIdx),
-                     q.busySeconds() - before);
+    queues_[stackIdx].cancelFrom(now);
 
     // Re-home the killed commands in submission order. Their functional
     // results are already final (computed eagerly at submit), so the
@@ -933,8 +909,8 @@ MealibRuntime::failStackLocked(unsigned stackIdx)
         std::erase_if(pending_, [&](const PendingAccess &pa) {
             return pa.owner == state->id;
         });
-        if (sched_->healthyCount() > 0) {
-            unsigned dest = sched_->pick(stackIdx);
+        if (health_.liveCount() > 0) {
+            unsigned dest = sched_.pick(stackIdx, health_);
             CommandQueue &q2 = queues_[dest];
             const double ready = hazardReady(
                 state->intervals, std::max(now, q2.busyUntilSeconds()));
@@ -957,7 +933,6 @@ MealibRuntime::failStackLocked(unsigned stackIdx)
             const double span = state->spanSeconds *
                                 (1.0 - resumeFrac) * slowdown_[dest];
             q2.push(ready, ready + span);
-            busyByStack_.add("stack" + std::to_string(dest), span);
             state->stack = dest;
             state->startSeconds = ready;
             state->finishSeconds = ready + span;
@@ -994,15 +969,14 @@ MealibRuntime::failStackLocked(unsigned stackIdx)
 bool
 MealibRuntime::stackFailed(unsigned stackIdx) const
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    return sched_->failed(stackIdx);
+    return stackHealth(stackIdx) == StackHealth::Dead;
 }
 
 unsigned
 MealibRuntime::healthyStackCount() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return sched_->healthyCount();
+    return health_.liveCount();
 }
 
 void
@@ -1038,7 +1012,7 @@ unsigned
 MealibRuntime::selectableStackCount() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return sched_->selectableCount();
+    return health_.selectableCount();
 }
 
 unsigned
@@ -1052,13 +1026,10 @@ MealibRuntime::recordHealth(const Submission &s)
         s.es.retries > 0 || !s.success || s.silentDetected > 0;
     using Action = StackHealthMonitor::Action;
     const Action act = health_.recordOutcome(s.stack, s.cmd, faulted);
-    if (act == Action::Readmit)
-        sched_->setAvailable(s.stack, true);
     if (act != Action::Quarantine && act != Action::Die)
         return StackHealthMonitor::kNone;
     // Quarantine and death both mean the stack's recent behaviour is
     // suspect: anything it holds loses clean/verified status.
-    sched_->setAvailable(s.stack, false);
     dropStackResidency(s.stack);
     return act == Action::Die ? s.stack : StackHealthMonitor::kNone;
 }
@@ -1101,6 +1072,8 @@ MealibRuntime::resolveAttempts(Submission &s)
 {
     /** HMC-style request packet re-sent after a CRC failure. */
     constexpr std::uint64_t kCrcPacketBytes = 128;
+    /** Backoff before the first retry; it doubles for each one after. */
+    constexpr double kBackoffBaseSeconds = 2.0e-6;
 
     const Plan &plan = s.plan;
     accel::ExecStats &es = s.es;
@@ -1139,7 +1112,7 @@ MealibRuntime::resolveAttempts(Submission &s)
         }
         committed = newK * ival;
     };
-    double backoff = cfg_.retry.backoffBaseSeconds;
+    double backoff = kBackoffBaseSeconds;
     for (unsigned attempt = 0;; ++attempt) {
         // Fraction of the command this attempt still has to execute.
         const double base =
@@ -1253,7 +1226,7 @@ MealibRuntime::resolveAttempts(Submission &s)
             return;
         }
         es.faultPenalty.seconds += backoff;
-        backoff *= cfg_.retry.backoffMultiplier;
+        backoff *= 2.0;
     }
 }
 
@@ -1380,7 +1353,9 @@ MealibRuntime::accounting() const
     }
     a.makespanSeconds = makespanSeconds_;
     a.hostBusySeconds = hostBusySeconds_;
-    a.busyByStack = busyByStack_;
+    for (unsigned st = 0; st < cfg_.numStacks; ++st)
+        a.busyByStack.add("stack" + std::to_string(st),
+                          queues_[st].busySeconds());
     // Every fallback posts one host/fault_fallback event, so the event
     // already holds the fallback count and host seconds.
     const EnergyLedger::EventStat fallback =
@@ -1412,12 +1387,11 @@ MealibRuntime::resetAccounting()
     hostSeconds_ = 0.0;
     hostBusySeconds_ = 0.0;
     makespanSeconds_ = 0.0;
-    busyByStack_ = Breakdown{};
     pending_.clear();
     inflight_.clear();
     for (CommandQueue &q : queues_)
         q.reset();
-    sched_->reset();
+    sched_.reset();
     nextEventId_ = 1;
     epoch_++;
     cmdIndex_ = 0;

@@ -81,11 +81,9 @@ EnergyLedger *boundSessionLedger();
  */
 struct RetryPolicy
 {
-    /** Retries after the first failed attempt (0 = fail fast). */
+    /** Retries after the first failed attempt (0 = fail fast). Retry k
+     * (from 0) first waits a 2 us * 2^k backoff. */
     unsigned maxRetries = 3;
-    /** Backoff before retry k: base * multiplier^k seconds. */
-    double backoffBaseSeconds = 2.0e-6;
-    double backoffMultiplier = 2.0;
     /** Re-run the plan on the host (minimkl naive-kernel cost model)
      * when the retry budget is exhausted or no stack survives. With
      * this off, exhausted commands terminate TIMED_OUT / FAILED. */
@@ -102,8 +100,6 @@ struct RuntimeConfig
     host::CpuParams hostCpu;              //!< the host processor
     noc::MeshParams mesh;                 //!< accelerator-layer NoC
     bool functional = true;               //!< run kernels for real
-    /** Inter-stack SerDes link energy (HMC-style high-speed links). */
-    double linkJPerByte = 10.0_pJ;
     /** Outstanding commands each per-stack queue admits before a
      * submit stalls the host (the command-buffer size). */
     unsigned queueDepth = 8;
@@ -131,8 +127,7 @@ struct RuntimeConfig
     /** Cross-command operand residency tracking (docs/RUNTIME.md): when
      * enabled, flushes shrink to host-dirtied intervals and integrity
      * verification skips intervals whose cached checksum is still
-     * valid. Off by default (bit-for-bit identical ledger); the
-     * constructor seeds it from MEALIB_RESIDENCY. */
+     * valid. Off by default (bit-for-bit identical ledger). */
     ResidencyConfig residency;
 
     /** Defaults from the process-wide active machine profile. */
@@ -180,7 +175,8 @@ struct RuntimeAccounting
     /** Host-track time spent doing work (flush/handshake/runOnHost),
      * excluding time the host waited on events or full queues. */
     double hostBusySeconds = 0.0;
-    /** Per-stack accelerator busy seconds, keyed "stack0", "stack1"... */
+    /** Per-stack accelerator busy seconds, keyed "stack0", "stack1"...:
+     * each stack queue's CommandQueue::busySeconds(). */
     Breakdown busyByStack;
 
     // --- degraded-mode view (fault injection, docs/FAULTS.md) ---------
@@ -346,7 +342,6 @@ class MealibRuntime
     }
 
     const CommandQueue &queue(unsigned stack) const;
-    const Scheduler &scheduler() const { return *sched_; }
 
     // --- degradation & fault injection (docs/FAULTS.md) ---------------
 
@@ -358,10 +353,10 @@ class MealibRuntime
      */
     void failStack(unsigned stack);
 
-    /** @return whether @p stack has been marked failed. */
+    /** @return whether @p stack has failed (stackHealth() is Dead). */
     bool stackFailed(unsigned stack) const;
 
-    /** Stacks not marked failed. */
+    /** Stacks that have not failed. */
     unsigned healthyStackCount() const;
 
     /**
@@ -446,7 +441,8 @@ class MealibRuntime
     const RuntimeConfig &config() const { return cfg_; }
     dram::PhysMem &mem() { return *mem_; }
     const host::CpuModel &hostModel() const { return host_; }
-    accel::AcceleratorLayer &layer(unsigned stack = 0);
+    /** The accelerator layer model every stack executes on. */
+    accel::AcceleratorLayer &layer() { return layer_; }
     dram::Stack &stack(unsigned stack = 0);
     ContigAllocator &dataAllocator() { return *dataAllocs_[0]; }
 
@@ -489,7 +485,7 @@ class MealibRuntime
     RuntimeConfig cfg_;
     std::unique_ptr<dram::PhysMem> mem_;
     std::vector<std::unique_ptr<dram::Stack>> stacks_;
-    std::vector<std::unique_ptr<accel::AcceleratorLayer>> layers_;
+    accel::AcceleratorLayer layer_;
     host::CpuModel host_;
 
     /** Remote-operand link cost for a program homed on @p home. */
@@ -550,8 +546,9 @@ class MealibRuntime
      * attempt when injection is off). */
     void resolveAttempts(Submission &s);
 
-    /** Health stage: feed the outcome to the monitor, apply quarantine
-     * or re-admission, and @return a stack to fail (kNone if none). */
+    /** Health stage: feed the outcome to the monitor, drop a newly
+     * quarantined stack's residency, and @return a stack to fail
+     * (kNone if none). */
     unsigned recordHealth(const Submission &s);
 
     /** Post stage: write the command's tracks, attributions, flops and
@@ -608,12 +605,11 @@ class MealibRuntime
     EnergyLedger ledger_; //!< every posted cost and counter
 
     // --- async timeline state (reset by resetAccounting) ---------------
-    std::unique_ptr<Scheduler> sched_;
+    Scheduler sched_;
     std::vector<CommandQueue> queues_;
     double hostSeconds_ = 0.0;
     double hostBusySeconds_ = 0.0; //!< RuntimeAccounting::hostBusySeconds
     double makespanSeconds_ = 0.0; //!< RuntimeAccounting::makespanSeconds
-    Breakdown busyByStack_;        //!< RuntimeAccounting::busyByStack
     std::vector<PendingAccess> pending_;
     std::vector<std::shared_ptr<detail::EventState>> inflight_;
     std::uint64_t nextEventId_ = 1;

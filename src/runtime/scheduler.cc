@@ -1,6 +1,7 @@
 #include "runtime/scheduler.hh"
 
 #include "common/logging.hh"
+#include "runtime/health.hh"
 
 namespace mealib::runtime {
 
@@ -28,97 +29,35 @@ schedulerPolicy(const std::string &name)
           "' (expected 'round_robin' or 'locality')");
 }
 
-Scheduler::Scheduler(SchedulerPolicy policy, unsigned numStacks)
-    : policy_(policy), numStacks_(numStacks), healthy_(numStacks),
-      failed_(numStacks, false), unavailable_(numStacks, false)
-{
-    fatalIf(numStacks == 0, "scheduler: need at least one stack");
-}
-
-void
-Scheduler::markFailed(unsigned stack)
-{
-    fatalIf(stack >= numStacks_, "markFailed: stack ", stack,
-            " out of range (", numStacks_, " stacks)");
-    if (!failed_[stack]) {
-        failed_[stack] = true;
-        --healthy_;
-    }
-}
-
-bool
-Scheduler::failed(unsigned stack) const
-{
-    return stack < numStacks_ && failed_[stack];
-}
-
-void
-Scheduler::setAvailable(unsigned stack, bool available)
-{
-    fatalIf(stack >= numStacks_, "setAvailable: stack ", stack,
-            " out of range (", numStacks_, " stacks)");
-    unavailable_[stack] = !available;
-}
-
-bool
-Scheduler::available(unsigned stack) const
-{
-    return stack < numStacks_ && !unavailable_[stack];
-}
-
 unsigned
-Scheduler::selectableCount() const
+Scheduler::pick(unsigned homeStack, const StackHealthMonitor &health)
 {
-    unsigned n = 0;
-    for (unsigned s = 0; s < numStacks_; ++s)
-        if (!failed_[s] && !unavailable_[s])
-            ++n;
-    return n;
-}
-
-bool
-Scheduler::preferred(unsigned stack) const
-{
-    return !failed_[stack] && !unavailable_[stack];
-}
-
-void
-Scheduler::reset()
-{
-    next_ = 0;
-    healthy_ = numStacks_;
-    failed_.assign(numStacks_, false);
-    unavailable_.assign(numStacks_, false);
-}
-
-unsigned
-Scheduler::pick(unsigned homeStack)
-{
-    panicIf(healthy_ == 0, "pick: every stack is marked failed");
-    // Quarantine is best-effort steering: honor the availability mask
-    // while it leaves a candidate, otherwise pick among every
-    // non-failed stack so submissions never strand.
-    const bool useMask = selectableCount() > 0;
+    panicIf(health.liveCount() == 0, "pick: every stack is dead");
+    const unsigned n = health.numStacks();
+    // Quarantine is best-effort steering: prefer selectable stacks
+    // while one exists, otherwise pick among every live stack so
+    // submissions never strand.
+    const bool steer = health.selectableCount() > 0;
     auto pickable = [&](unsigned s) {
-        return useMask ? preferred(s) : !failed_[s];
+        return steer ? health.selectable(s) : health.live(s);
     };
     switch (policy_) {
       case SchedulerPolicy::RoundRobin:
         while (true) {
-            unsigned s = next_++ % numStacks_;
+            unsigned s = next_++ % n;
             if (pickable(s))
                 return s;
         }
       case SchedulerPolicy::Locality: {
-        unsigned s = homeStack < numStacks_ ? homeStack : 0;
-        // A failed home reroutes to the next healthy stack upward —
+        unsigned s = homeStack < n ? homeStack : 0;
+        // A dead home reroutes to the next live stack upward —
         // deterministic, and adjacent homes spread across survivors.
-        for (unsigned i = 0; i < numStacks_; ++i) {
-            unsigned cand = (s + i) % numStacks_;
+        for (unsigned i = 0; i < n; ++i) {
+            unsigned cand = (s + i) % n;
             if (pickable(cand))
                 return cand;
         }
-        panic("pick: no healthy stack found");
+        panic("pick: no live stack found");
       }
       default:
         panic("pick: bad scheduler policy");

@@ -14,9 +14,10 @@
 #define MEALIB_RUNTIME_SCHEDULER_HH
 
 #include <string>
-#include <vector>
 
 namespace mealib::runtime {
+
+class StackHealthMonitor;
 
 /** Stack-selection policy for submitted plans. */
 enum class SchedulerPolicy
@@ -31,65 +32,32 @@ const char *name(SchedulerPolicy policy);
 /** Parse a policy name; fatal() on anything unrecognized. */
 SchedulerPolicy schedulerPolicy(const std::string &name);
 
-/** The stack picker. One instance per runtime; stateful (round robin
- * keeps a cursor, and failed stacks are remembered) so reset()
- * restores a freshly constructed ledger. Degradation-aware: stacks
- * marked failed are never picked — locality reroutes an unhealthy home
- * to the next healthy stack, round robin skips failed slots — so new
- * submissions steer away from dead hardware (docs/FAULTS.md).
- *
- * On top of the permanent failed bitmap the scheduler keeps a soft
- * availability mask driven by the stack health monitor: a quarantined
- * stack is alive but not picked while any available stack remains.
- * With every survivor quarantined at once, pick() falls back to the
- * full non-failed set so submissions never strand. */
+/** The stack picker. One instance per runtime; it keeps only the round
+ * robin cursor, so reset() restores a freshly constructed picker.
+ * Which stacks may take work is the health monitor's to say: a dead
+ * stack is never picked — locality reroutes a dead home to the next
+ * live stack, round robin skips dead slots — so new submissions steer
+ * away from dead hardware (docs/FAULTS.md). A quarantined stack is
+ * alive but skipped while any selectable stack remains; with every
+ * survivor quarantined at once, pick() falls back to the live set so
+ * submissions never strand. */
 class Scheduler
 {
   public:
-    Scheduler(SchedulerPolicy policy, unsigned numStacks);
+    explicit Scheduler(SchedulerPolicy policy) : policy_(policy) {}
 
-    /** Stack the next plan should execute on, never a failed one.
+    /** Stack the next plan should execute on, never a dead one.
      * @p homeStack is the stack owning the plan's first output operand.
-     * Requires healthyCount() > 0 (the runtime falls back to the host
-     * before asking an all-failed scheduler). */
-    unsigned pick(unsigned homeStack);
+     * Requires health.liveCount() > 0 (the runtime falls back to the
+     * host before asking with every stack dead). */
+    unsigned pick(unsigned homeStack, const StackHealthMonitor &health);
 
-    /** Mark @p stack permanently failed: pick() avoids it from now on. */
-    void markFailed(unsigned stack);
-
-    /** @return whether @p stack has been marked failed. */
-    bool failed(unsigned stack) const;
-
-    /** Stacks not marked failed. */
-    unsigned healthyCount() const { return healthy_; }
-
-    /** Soft availability (quarantine steering): an unavailable stack is
-     * skipped by pick() while an available one exists. No effect on a
-     * failed stack. */
-    void setAvailable(unsigned stack, bool available);
-
-    /** @return whether @p stack is currently available to pick(). */
-    bool available(unsigned stack) const;
-
-    /** Stacks neither failed nor quarantined (pick()'s preferred set). */
-    unsigned selectableCount() const;
-
-    SchedulerPolicy policy() const { return policy_; }
-
-    /** Restore construction-time state (used by resetAccounting),
-     * including stack health: scripted failures replay from scratch. */
-    void reset();
+    /** Rewind the round-robin cursor (used by resetAccounting). */
+    void reset() { next_ = 0; }
 
   private:
-    /** @return whether @p stack is in pick()'s preferred set. */
-    bool preferred(unsigned stack) const;
-
     SchedulerPolicy policy_;
-    unsigned numStacks_;
     unsigned next_ = 0;
-    unsigned healthy_;
-    std::vector<bool> failed_;
-    std::vector<bool> unavailable_; //!< quarantined (soft, reversible)
 };
 
 } // namespace mealib::runtime

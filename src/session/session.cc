@@ -54,11 +54,8 @@ Session::init(const SessionOptions &opts)
     dispatcher_.setCostModel(costs);
     dispatcher_.attachLedger(&ledger_);
     if (opts.attachBackend) {
-        const unsigned window =
-            opts.fusionWindow > 0 ? opts.fusionWindow
-                                  : dispatch::fusionWindowFromEnv();
         backend_ =
-            std::make_unique<dispatch::RuntimeBackend>(rt_, window);
+            std::make_unique<dispatch::RuntimeBackend>(rt_, opts.fusionWindow);
         dispatcher_.attachBackend(backend_.get());
         // Price the window the backend actually fuses.
         costs->setFusionWindow(backend_->fusionWindow());

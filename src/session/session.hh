@@ -41,14 +41,15 @@ struct SessionOptions
 {
     /**
      * Offload policy name ("host", "accel", "crossover", "calibrated");
-     * empty resolves MEALIB_OFFLOAD_POLICY exactly like the default
-     * dispatcher. Unknown names fall back to host-only.
+     * empty takes the process default, MEALIB_OFFLOAD_POLICY, exactly
+     * like the default dispatcher. Unknown names fall back to
+     * host-only.
      */
     std::string policy;
 
     /** COMPs batched into one fused descriptor program by this
-     * session's backend; 0 resolves MEALIB_FUSION_WINDOW. */
-    unsigned fusionWindow = 0;
+     * session's backend; 1 submits each call as its own program. */
+    unsigned fusionWindow = 1;
 
     /** Attach the session's RuntimeBackend to its dispatcher so accel
      * decisions execute on the shared runtime. Off leaves the

@@ -99,7 +99,6 @@ monitorConfig()
     HealthConfig cfg;
     cfg.quarantineThreshold = 0.5;
     cfg.windowCommands = 8;
-    cfg.minSamples = 4;
     cfg.probationAfterCommands = 4;
     cfg.canaryCommands = 2;
     return cfg;
@@ -111,26 +110,30 @@ TEST(HealthMonitor, FlakyStackQuarantinesThenReadmits)
     ASSERT_TRUE(mon.enabled());
     EXPECT_EQ(mon.state(0), StackHealth::Healthy);
 
-    // Three faulted outcomes stay below minSamples: no verdict yet.
+    // Three faulted outcomes stay below the four-outcome minimum: no
+    // verdict yet.
     std::uint64_t cmd = 0;
     for (; cmd < 3; ++cmd)
         EXPECT_EQ(mon.recordOutcome(0, cmd, true), Action::None);
     EXPECT_EQ(mon.state(0), StackHealth::Healthy);
 
-    // The fourth crosses minSamples with score 1.0 >= threshold 0.5.
+    // The fourth reaches the minimum with score 1.0 >= threshold 0.5.
     EXPECT_EQ(mon.recordOutcome(0, cmd, true), Action::Quarantine);
     EXPECT_EQ(mon.state(0), StackHealth::Quarantined);
+    EXPECT_TRUE(mon.live(0));
+    EXPECT_FALSE(mon.selectable(0));
+    EXPECT_EQ(mon.selectableCount(), 1u);
     EXPECT_EQ(mon.quarantines(), 1u);
     EXPECT_EQ(mon.score(0), 1.0);
     EXPECT_EQ(mon.canaryTarget(), StackHealthMonitor::kNone);
 
     // Quarantined at cmd 3, cooldown 4: probation begins at cmd 7.
-    EXPECT_TRUE(mon.beginCommand(5).empty());
+    mon.beginCommand(5);
     EXPECT_EQ(mon.state(0), StackHealth::Quarantined);
-    std::vector<unsigned> changed = mon.beginCommand(7);
-    ASSERT_EQ(changed.size(), 1u);
-    EXPECT_EQ(changed[0], 0u);
+    mon.beginCommand(7);
     EXPECT_EQ(mon.state(0), StackHealth::Probation);
+    EXPECT_EQ(mon.state(1), StackHealth::Healthy);
+    EXPECT_TRUE(mon.selectable(0));
     EXPECT_EQ(mon.canaryTarget(), 0u);
 
     // Two clean canaries re-admit and forget the flaky window.
@@ -163,7 +166,8 @@ TEST(HealthMonitor, FaultedCanaryStrikesOutToPermanentDeath)
     EXPECT_EQ(mon.strikes(0), 1u);
 
     // A faulted canary on probation costs the second and final strike.
-    ASSERT_EQ(mon.beginCommand(7).size(), 1u);
+    mon.beginCommand(7);
+    ASSERT_EQ(mon.state(0), StackHealth::Probation);
     EXPECT_EQ(mon.recordOutcome(0, 7, true), Action::Die);
     EXPECT_EQ(mon.strikes(0), 2u);
 
@@ -171,9 +175,12 @@ TEST(HealthMonitor, FaultedCanaryStrikesOutToPermanentDeath)
     // there the slot is inert.
     mon.markDead(0);
     EXPECT_EQ(mon.state(0), StackHealth::Dead);
+    EXPECT_FALSE(mon.live(0));
+    EXPECT_EQ(mon.liveCount(), 0u);
     EXPECT_EQ(mon.recordOutcome(0, 8, true), Action::None);
     EXPECT_EQ(mon.state(0), StackHealth::Dead);
-    EXPECT_TRUE(mon.beginCommand(1000).empty());
+    mon.beginCommand(1000);
+    EXPECT_EQ(mon.state(0), StackHealth::Dead);
 }
 
 TEST(HealthMonitor, HealthySamplesDiluteTheScore)
@@ -203,7 +210,6 @@ TEST(HealthIntegration, QuarantinedStackStopsReceivingWork)
     cfg.retry.maxRetries = 0;
     cfg.health.quarantineThreshold = 1.0;
     cfg.health.windowCommands = 4;
-    cfg.health.minSamples = 4;
     cfg.health.probationAfterCommands = 1000; // stays quarantined
     MealibRuntime rt(cfg);
     Operands ops = fillOperands(rt);
@@ -240,7 +246,6 @@ TEST(HealthIntegration, ProbationCanaryStrikesOutAndStackDies)
     cfg.retry.maxRetries = 0;
     cfg.health.quarantineThreshold = 1.0;
     cfg.health.windowCommands = 4;
-    cfg.health.minSamples = 4;
     cfg.health.probationAfterCommands = 2;
     cfg.health.canaryCommands = 1;
     cfg.health.maxStrikes = 2;

@@ -968,5 +968,36 @@ TEST_F(KernelParityTest, TuningEnvironmentSelectsThreadsAndLevelOnly)
     EXPECT_EQ(t.parallelCutoff, KernelTuning{}.parallelCutoff);
 }
 
+TEST_F(KernelParityTest, TuningEnvironmentKeepsDefaultOnBadValues)
+{
+    // A set value that does not parse as a whole, or a thread count
+    // outside 1-64, keeps the default instead of being truncated or
+    // clamped. "1x" and "2x" make sure one truncated prefix differs
+    // from the default on any machine.
+    const char *const names[] = {"MEALIB_NUM_THREADS", "MEALIB_SIMD"};
+    std::vector<std::pair<const char *, std::string>> saved;
+    for (const char *n : names) {
+        if (const char *old = std::getenv(n))
+            saved.emplace_back(n, old);
+        unsetenv(n);
+    }
+    const KernelTuning def = KernelTuning::fromEnv();
+    std::vector<std::pair<std::string, int>> threads;
+    for (const char *bad : {"4x", "1x", "2x", "0", "65", "abc"}) {
+        setenv("MEALIB_NUM_THREADS", bad, 1);
+        threads.emplace_back(bad, KernelTuning::fromEnv().numThreads);
+    }
+    unsetenv("MEALIB_NUM_THREADS");
+    setenv("MEALIB_SIMD", "avx3", 1);
+    const simd::SimdLevel level = KernelTuning::fromEnv().simd;
+    unsetenv("MEALIB_SIMD");
+    for (const auto &[var, value] : saved)
+        setenv(var, value.c_str(), 1);
+
+    for (const auto &[value, n] : threads)
+        EXPECT_EQ(n, def.numThreads) << "MEALIB_NUM_THREADS=" << value;
+    EXPECT_EQ(level, simd::SimdLevel::Auto);
+}
+
 } // namespace
 } // namespace mealib::mkl

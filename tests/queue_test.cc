@@ -119,18 +119,65 @@ TEST(Scheduler, PolicyNamesParse)
 
 TEST(Scheduler, RoundRobinCyclesLocalityHonorsHome)
 {
-    Scheduler rr(SchedulerPolicy::RoundRobin, 3);
-    EXPECT_EQ(rr.pick(2), 0u);
-    EXPECT_EQ(rr.pick(2), 1u);
-    EXPECT_EQ(rr.pick(2), 2u);
-    EXPECT_EQ(rr.pick(2), 0u);
+    const StackHealthMonitor health(HealthConfig{}, 3);
+    Scheduler rr(SchedulerPolicy::RoundRobin);
+    EXPECT_EQ(rr.pick(2, health), 0u);
+    EXPECT_EQ(rr.pick(2, health), 1u);
+    EXPECT_EQ(rr.pick(2, health), 2u);
+    EXPECT_EQ(rr.pick(2, health), 0u);
     rr.reset();
-    EXPECT_EQ(rr.pick(2), 0u);
+    EXPECT_EQ(rr.pick(2, health), 0u);
 
-    Scheduler loc(SchedulerPolicy::Locality, 3);
-    EXPECT_EQ(loc.pick(2), 2u);
-    EXPECT_EQ(loc.pick(0), 0u);
-    EXPECT_EQ(loc.pick(7), 0u); // out-of-range home falls back
+    Scheduler loc(SchedulerPolicy::Locality);
+    EXPECT_EQ(loc.pick(2, health), 2u);
+    EXPECT_EQ(loc.pick(0, health), 0u);
+    EXPECT_EQ(loc.pick(7, health), 0u); // out-of-range home falls back
+}
+
+TEST(Scheduler, DeadStackIsNeverPicked)
+{
+    StackHealthMonitor health(HealthConfig{}, 3);
+    health.markDead(1);
+    Scheduler rr(SchedulerPolicy::RoundRobin);
+    for (unsigned i = 0; i < 6; ++i)
+        EXPECT_NE(rr.pick(0, health), 1u);
+
+    // A dead home reroutes to the next live stack upward.
+    Scheduler loc(SchedulerPolicy::Locality);
+    EXPECT_EQ(loc.pick(1, health), 2u);
+    health.markDead(2);
+    EXPECT_EQ(loc.pick(1, health), 0u);
+    EXPECT_EQ(loc.pick(2, health), 0u);
+}
+
+TEST(Scheduler, QuarantinedStackIsSkippedWhileOneIsSelectable)
+{
+    HealthConfig cfg;
+    cfg.quarantineThreshold = 1.0;
+    cfg.windowCommands = 4;
+    StackHealthMonitor health(cfg, 3);
+    for (std::uint64_t cmd = 0; cmd < 4; ++cmd)
+        health.recordOutcome(0, cmd, true);
+    ASSERT_EQ(health.state(0), StackHealth::Quarantined);
+
+    Scheduler rr(SchedulerPolicy::RoundRobin);
+    for (unsigned i = 0; i < 6; ++i)
+        EXPECT_NE(rr.pick(0, health), 0u);
+    Scheduler loc(SchedulerPolicy::Locality);
+    EXPECT_EQ(loc.pick(0, health), 1u);
+
+    // With every live stack quarantined, pick() falls back to the live
+    // set so submissions never strand, and still skips the dead one.
+    for (std::uint64_t cmd = 4; cmd < 8; ++cmd)
+        health.recordOutcome(1, cmd, true);
+    health.markDead(2);
+    ASSERT_EQ(health.selectableCount(), 0u);
+    EXPECT_EQ(loc.pick(0, health), 0u);
+    EXPECT_EQ(loc.pick(2, health), 0u);
+    rr.reset();
+    EXPECT_EQ(rr.pick(2, health), 0u);
+    EXPECT_EQ(rr.pick(2, health), 1u);
+    EXPECT_EQ(rr.pick(2, health), 0u);
 }
 
 // --- hazard intervals --------------------------------------------------

@@ -5,9 +5,12 @@
 
 #include <cmath>
 #include <complex>
+#include <cstdlib>
 #include <cstring>
 #include <map>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -138,6 +141,52 @@ TEST(SessionDispatch, CostModelPricesTheBackendFusionWindow)
     EXPECT_EQ(s.dispatcher().snapshot().totalAccelDecisions(), 1u);
     for (int i = 0; i < kN; ++i)
         ASSERT_EQ(y[i], 0.5f * static_cast<float>(i % 7) + 1.0f);
+}
+
+TEST(SessionDispatch, RemovedReuseVariablesChangeNothing)
+{
+    // Residency and the fusion window are set only through RuntimeConfig,
+    // SessionOptions and the RuntimeBackend argument; the environment
+    // variables that once seeded them reach no constructor.
+    const char *const vars[][2] = {{"MEALIB_RESIDENCY", "1"},
+                                   {"MEALIB_FUSION_WINDOW", "4"}};
+    std::vector<std::pair<const char *, std::string>> saved;
+    for (const auto &v : vars) {
+        if (const char *old = std::getenv(v[0]))
+            saved.emplace_back(v[0], old);
+        setenv(v[0], v[1], 1);
+    }
+    runtime::RuntimeConfig cfg;
+    cfg.backingBytes = 16_MiB;
+    const bool residency = cfg.residency.enabled;
+    runtime::MealibRuntime rt(cfg);
+    const unsigned backendWindow = dispatch::RuntimeBackend(rt).fusionWindow();
+    constexpr int kN = 1024;
+    auto *x = static_cast<float *>(rt.memAlloc(kN * 4));
+    auto *y = static_cast<float *>(rt.memAlloc(kN * 4));
+    for (int i = 0; i < kN; ++i) {
+        x[i] = static_cast<float>(i % 5);
+        y[i] = 1.0f;
+    }
+    {
+        SessionOptions opts;
+        opts.policy = "accel";
+        Session s(rt, opts);
+        SessionBinding bound = s.bind();
+        for (int call = 0; call < 4; ++call)
+            cblas_saxpy(kN, 0.5f, x, 1, y, 1);
+    }
+    for (const auto &v : vars)
+        unsetenv(v[0]);
+    for (const auto &[var, value] : saved)
+        setenv(var, value.c_str(), 1);
+
+    EXPECT_FALSE(residency);
+    EXPECT_EQ(backendWindow, 1u);
+    // A session with the default window submits one program per call.
+    EXPECT_EQ(rt.queue(0).submitted(), 4u);
+    EXPECT_EQ(rt.accounting().fusedPrograms, 0u);
+    EXPECT_EQ(rt.accounting().flushBytesElided, 0u);
 }
 
 // --- ledger attribution ------------------------------------------------

@@ -184,11 +184,9 @@ printHelp(const std::string &program)
         "reuse (docs/RUNTIME.md):\n"
         "  --residency            track cross-command operand residency\n"
         "                         and elide redundant flush/verify work\n"
-        "                         (also: MEALIB_RESIDENCY=1)\n"
         "  --fusion-window=N      fuse up to N adjacent same-stack\n"
         "                         dispatched calls into one descriptor\n"
-        "                         program (default 1 = off; also:\n"
-        "                         MEALIB_FUSION_WINDOW; needs\n"
+        "                         program (default 1 = off; needs\n"
         "                         --offload-policy)\n"
         "\n"
         "exit codes: 0 success, 1 internal error, 2 usage/config\n"
@@ -441,7 +439,7 @@ runDispatched(runtime::MealibRuntime &rt,
                     up.addPassEnd();
                     dram::StackOwnership own(rt.stack(0),
                                              dram::Owner::Accelerator);
-                    rt.layer(0).execute(up, rt.mem());
+                    rt.layer().execute(up, rt.mem());
                 }
                 rt.runOnHost(dispatch::hostKernelProfile(
                     hwmodel::activeProfile(), u.call, u.loop));
@@ -562,7 +560,7 @@ main(int argc, char **argv)
                     "--offload-policy '" + sopts.policy +
                         "' is not host|accel|crossover|calibrated"));
             sopts.fusionWindow = static_cast<unsigned>(
-                cli.getInt("fusion-window", 0));
+                cli.getInt("fusion-window", 1));
             return runClients(cli, cfg, static_cast<unsigned>(n),
                               cli.get("app", "mix"), sopts,
                               cli.get("energy-json", ""));
@@ -660,9 +658,8 @@ main(int argc, char **argv)
         // --- residency / fusion (docs/RUNTIME.md) ----------------------
         if (cli.has("residency"))
             cfg.residency.enabled = true;
-        const unsigned fusion_window = static_cast<unsigned>(cli.getInt(
-            "fusion-window",
-            static_cast<std::int64_t>(dispatch::fusionWindowFromEnv())));
+        const unsigned fusion_window =
+            static_cast<unsigned>(cli.getInt("fusion-window", 1));
         if (fusion_window < 1) {
             throw MealibError(
                 Status::error(ErrorCode::InvalidArgument,
