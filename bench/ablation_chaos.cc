@@ -106,7 +106,7 @@ runCell(std::uint64_t seed, double rate, unsigned ckptInterval,
         const unsigned home = i % stacks;
         const std::uint64_t base =
             static_cast<std::uint64_t>(home) * span +
-            (home == 0 ? cfg.commandBytes : 0);
+            (home == 0 ? runtime::kCommandBytes : 0);
         const std::int64_t step = static_cast<std::int64_t>(slice * 4);
         OpCall c;
         c.kind = AccelKind::AXPY;

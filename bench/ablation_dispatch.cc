@@ -95,8 +95,8 @@ main()
         // Compute-bounded calls (STAP covariance/solve scale): priced
         // host-side under every policy.
         for (OpDesc d :
-             {lowerSgemm(512, 512, 512, nullptr, nullptr, 0.0f, nullptr),
-              lowerCherk(256, 1024, nullptr, 0.0f, nullptr),
+             {lowerSgemm(512, 512, 512, nullptr, nullptr, nullptr),
+              lowerCherk(256, 1024, nullptr, nullptr),
               lowerCtrsm(256, 256, nullptr, nullptr)}) {
             const std::uint64_t before =
                 disp.snapshot().of(d.kind).offloaded;

@@ -181,4 +181,12 @@ OpCall::trafficBytes() const
     }
 }
 
+bool
+readsOutput(const OpCall &call)
+{
+    if (call.kind == AccelKind::AXPY)
+        return call.complexData || call.beta != 0.0f;
+    return call.kind == AccelKind::GEMV && call.beta != 0.0f;
+}
+
 } // namespace mealib::accel

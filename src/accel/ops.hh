@@ -145,6 +145,15 @@ struct OpCall
 };
 
 /**
+ * Whether executing @p call reads its own output, so running it twice
+ * over the same memory applies the update twice: every complex AXPY
+ * (the layer accumulates with caxpy), and a real AXPY or a GEMV with
+ * beta != 0. The one rule behind both rerun-safety checks (the
+ * dispatcher's host rerun and the runtime's checkpoint replay).
+ */
+bool readsOutput(const OpCall &call);
+
+/**
  * Iterations of @p loop that actually advance @p op: dimensions with a
  * zero stride revisit the same data (e.g. STAP's weights are reused
  * across training cells), so they do not multiply traffic.

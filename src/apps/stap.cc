@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "dispatch/models.hh"
 #include "dispatch/ops.hh"
 #include "hwmodel/profile.hh"
-#include "mealib/platform.hh"
 #include "minimkl/blas1.hh"
 #include "minimkl/blas3.hh"
 #include "minimkl/fft.hh"
@@ -130,27 +128,24 @@ steeringMatrix(const StapParams &p)
 }
 
 /**
- * Marshal space-time snapshots from doppler-space data for doppler bins
- * [dopLo, dopHi). doppler layout: [chan][range][dop]; snapshot layout:
- * [dop - dopLo][block][cell][dof] with dof = t * nChan + chan and the
- * t-th temporal tap reading doppler bin (dop + t) mod nDop.
+ * Marshal space-time snapshots from doppler-space data. doppler layout:
+ * [chan][range][dop]; snapshot layout: [dop][block][cell][dof] with
+ * dof = t * nChan + chan and the t-th temporal tap reading doppler bin
+ * (dop + t) mod nDop.
  */
 void
-buildSnapshots(const StapParams &p, const cfloat *doppler, cfloat *snap,
-               unsigned dopLo, unsigned dopHi)
+buildSnapshots(const StapParams &p, const cfloat *doppler, cfloat *snap)
 {
     const unsigned l = p.dofLen();
-    for (unsigned dop = dopLo; dop < dopHi; ++dop) {
+    for (unsigned dop = 0; dop < p.nDop; ++dop) {
         for (unsigned b = 0; b < p.nBlocks; ++b) {
             for (unsigned c = 0; c < p.tbs; ++c) {
                 unsigned range = b * p.tbs + c;
                 cfloat *out =
                     snap +
-                    (((static_cast<std::size_t>(dop - dopLo) *
-                           p.nBlocks +
-                       b) *
-                          p.tbs +
-                      c)) *
+                    ((static_cast<std::size_t>(dop) * p.nBlocks + b) *
+                         p.tbs +
+                     c) *
                         l;
                 for (unsigned t = 0; t < p.tdof; ++t) {
                     unsigned bin = (dop + t) % p.nDop;
@@ -169,15 +164,12 @@ buildSnapshots(const StapParams &p, const cfloat *doppler, cfloat *snap,
 }
 
 /**
- * Covariance + Cholesky + two triangular solves per (dop, block) for
- * doppler bins [dopLo, dopHi); @p snap and @p weights address the slice
- * (index 0 is bin dopLo). Weights come out as [dop - dopLo][block][sv]
- * [dof] (Listing 1's layout).
+ * Covariance + Cholesky + two triangular solves per (dop, block).
+ * Weights come out as [dop][block][sv][dof] (Listing 1's layout).
  * @return the number of library calls issued (cherk + 2 ctrsm each).
  */
 std::uint64_t
-computeWeights(const StapParams &p, const cfloat *snap, cfloat *weights,
-               unsigned dopLo, unsigned dopHi)
+computeWeights(const StapParams &p, const cfloat *snap, cfloat *weights)
 {
     const unsigned l = p.dofLen();
     const std::vector<cfloat> v = steeringMatrix(p);
@@ -185,14 +177,13 @@ computeWeights(const StapParams &p, const cfloat *snap, cfloat *weights,
     std::vector<cfloat> y(static_cast<std::size_t>(l) * p.nSteering);
     std::uint64_t calls = 0;
 
-    for (unsigned dop = dopLo; dop < dopHi; ++dop) {
+    for (unsigned dop = 0; dop < p.nDop; ++dop) {
         for (unsigned b = 0; b < p.nBlocks; ++b) {
             const cfloat *a =
-                snap + ((static_cast<std::size_t>(dop - dopLo) *
-                             p.nBlocks +
-                         b) *
-                        p.tbs) *
-                           l;
+                snap +
+                ((static_cast<std::size_t>(dop) * p.nBlocks + b) *
+                 p.tbs) *
+                    l;
             // R = A^H A over the training block (A is tbs x l).
             std::fill(r.begin(), r.end(), cfloat{});
             dispatch::ops::cherk(mkl::Order::RowMajor, mkl::Uplo::Lower,
@@ -223,8 +214,7 @@ computeWeights(const StapParams &p, const cfloat *snap, cfloat *weights,
             // Repack column sv of y into the [sv][dof] weight layout.
             cfloat *w =
                 weights +
-                (static_cast<std::size_t>(dop - dopLo) * p.nBlocks +
-                 b) *
+                (static_cast<std::size_t>(dop) * p.nBlocks + b) *
                     p.nSteering * l;
             for (unsigned s = 0; s < p.nSteering; ++s)
                 for (unsigned d = 0; d < l; ++d)
@@ -276,18 +266,7 @@ marshalProfile(const StapParams &p)
     return prof;
 }
 
-/** @p prof with its work scaled to a doppler-slice fraction @p f. */
-host::KernelProfile
-scaled(host::KernelProfile prof, double f)
-{
-    prof.flops *= f;
-    prof.bytesRead *= f;
-    prof.bytesWritten *= f;
-    prof.callOverheads *= f;
-    return prof;
-}
-
-/** OpCall templates shared by both execution modes. */
+/** OpCall templates shared by the host and MEALib runs. */
 struct StapCalls
 {
     OpCall reshape; //!< per-channel corner turn     (RESHP, LOOP nChan)
@@ -400,11 +379,11 @@ runStapHost(const StapParams &p)
         .execute(mid.data(), doppler.data());
 
     std::vector<cfloat> snap(p.dotCalls() / p.nSteering * l);
-    buildSnapshots(p, doppler.data(), snap.data(), 0, p.nDop);
+    buildSnapshots(p, doppler.data(), snap.data());
     std::vector<cfloat> weights(static_cast<std::size_t>(p.nDop) *
                                 p.nBlocks * p.nSteering * l);
     std::uint64_t blas3_calls =
-        computeWeights(p, snap.data(), weights.data(), 0, p.nDop);
+        computeWeights(p, snap.data(), weights.data());
 
     std::vector<cfloat> prods(p.dotCalls());
     for (unsigned dop = 0; dop < p.nDop; ++dop)
@@ -521,13 +500,11 @@ runStapMealib(const StapParams &p, runtime::MealibRuntime &rt,
     rt.accDestroy(h1);
 
     // Host stages: snapshots, covariance, solves, weight repacking.
-    buildSnapshots(p, doppler, snap, 0, p.nDop);
-    std::uint64_t blas3_calls =
-        computeWeights(p, snap, weights, 0, p.nDop);
+    buildSnapshots(p, doppler, snap);
+    std::uint64_t blas3_calls = computeWeights(p, snap, weights);
     rt.noteHostWrite(snap, p.dotCalls() / p.nSteering * l * 8);
     rt.noteHostWrite(weights, static_cast<std::size_t>(p.nDop) *
                                   p.nBlocks * p.nSteering * l * 8);
-    host::CpuModel cpu(hwmodel::activeProfile().cpu);
     rt.runOnHost(weightStageProfile(p));
     rt.runOnHost(marshalProfile(p));
 
@@ -558,9 +535,9 @@ runStapMealib(const StapParams &p, runtime::MealibRuntime &rt,
         res.timeByAccel = acct.timeByAccel;
         res.energyByAccel = acct.energyByAccel;
         // The host idles (but still burns package power) while the
-        // accelerators own the DRAM.
-        Cost idle =
-            cpu.idleCost(res.accel.seconds + res.invocation.seconds);
+        // accelerators own the DRAM; the runtime's own host prices it.
+        Cost idle = rt.hostModel().idleCost(res.accel.seconds +
+                                            res.invocation.seconds);
         res.host.joules += idle.joules;
         res.criticalPathSeconds = acct.makespanSeconds;
         // The accounting above is a view of the runtime's ledger; add
@@ -580,153 +557,6 @@ runStapMealib(const StapParams &p, runtime::MealibRuntime &rt,
                       static_cast<void *>(weights),
                       static_cast<void *>(prods),
                       static_cast<void *>(out)})
-        rt.memFree(ptr);
-    return res;
-}
-
-StapResult
-runStapMealibAsync(const StapParams &p, runtime::MealibRuntime &rt,
-                   bool exclusive)
-{
-    StapResult res;
-    const unsigned l = p.dofLen();
-    const std::size_t cube_elems =
-        static_cast<std::size_t>(p.nChan) * p.nDop * p.nRange();
-    // One doppler slice per stack; every slice's working set lives on
-    // its own Local Memory Stack so the submitted descriptors pay no
-    // remote-link penalty.
-    const unsigned slices = std::min(rt.numStacks(), p.nDop);
-
-    if (exclusive)
-        rt.resetAccounting();
-
-    // The datacube and its doppler spectrum stay on stack 0: the corner
-    // turn + FFT descriptor is a pipeline head every slice depends on.
-    auto *cube = static_cast<cfloat *>(rt.memAlloc(cube_elems * 8));
-    auto *mid = static_cast<cfloat *>(rt.memAlloc(cube_elems * 8));
-    auto *doppler = static_cast<cfloat *>(rt.memAlloc(cube_elems * 8));
-
-    std::vector<cfloat> cube_data = generateCube(p);
-    std::copy(cube_data.begin(), cube_data.end(), cube);
-    rt.noteHostWrite(cube, cube_elems * 8);
-
-    StapCalls calls = buildCalls(p, rt.physOf(cube), rt.physOf(mid),
-                                 rt.physOf(doppler), 0, 0, 0, 0);
-
-    // Descriptor 1: corner turn chained into the doppler FFT.
-    DescriptorProgram d1;
-    d1.addLoop(calls.reshapeLoop, 3);
-    d1.addComp(calls.reshape);
-    d1.addComp(calls.fft);
-    d1.addPassEnd();
-    auto h1 = rt.accPlan(d1);
-    rt.accExecute(h1); // blocking: the host marshals from `doppler`
-    rt.accDestroy(h1);
-
-    // Slice boundaries: near-equal contiguous doppler ranges.
-    std::vector<unsigned> lo(slices + 1, 0);
-    for (unsigned s = 0; s < slices; ++s)
-        lo[s + 1] = lo[s] + p.nDop / slices +
-                    (s < p.nDop % slices ? 1 : 0);
-
-    struct Slice
-    {
-        cfloat *snap, *weights, *prods, *out;
-        runtime::AccPlanHandle plan;
-    };
-    std::vector<Slice> sl(slices);
-    std::uint64_t blas3_calls = 0;
-
-    for (unsigned s = 0; s < slices; ++s) {
-        const unsigned dops = lo[s + 1] - lo[s];
-        const std::size_t rows =
-            static_cast<std::size_t>(dops) * p.nBlocks;
-        const std::size_t dot_calls = rows * p.nSteering * p.tbs;
-        sl[s].snap = static_cast<cfloat *>(
-            rt.memAllocOn(s, rows * p.tbs * l * 8));
-        sl[s].weights = static_cast<cfloat *>(
-            rt.memAllocOn(s, rows * p.nSteering * l * 8));
-        sl[s].prods =
-            static_cast<cfloat *>(rt.memAllocOn(s, dot_calls * 8));
-        sl[s].out =
-            static_cast<cfloat *>(rt.memAllocOn(s, dot_calls * 8));
-
-        // Host: marshal + adaptive weights for THIS slice; slices
-        // already submitted keep executing near memory meanwhile.
-        buildSnapshots(p, doppler, sl[s].snap, lo[s], lo[s + 1]);
-        blas3_calls += computeWeights(p, sl[s].snap, sl[s].weights,
-                                      lo[s], lo[s + 1]);
-        std::fill(sl[s].out, sl[s].out + dot_calls, cfloat{});
-        rt.noteHostWrite(sl[s].snap, rows * p.tbs * l * 8);
-        rt.noteHostWrite(sl[s].weights, rows * p.nSteering * l * 8);
-        rt.noteHostWrite(sl[s].out, dot_calls * 8);
-        const double frac =
-            static_cast<double>(dops) / static_cast<double>(p.nDop);
-        rt.runOnHost(scaled(weightStageProfile(p), frac));
-        rt.runOnHost(scaled(marshalProfile(p), frac));
-
-        // This slice's inner products + scaling as one descriptor,
-        // submitted to the slice's home stack.
-        StapCalls sc = buildCalls(
-            p, 0, 0, 0, rt.physOf(sl[s].weights), rt.physOf(sl[s].snap),
-            rt.physOf(sl[s].prods), rt.physOf(sl[s].out));
-        sc.dotLoop.dims = {dops, p.nBlocks, p.nSteering, p.tbs};
-        sc.axpy.n = dot_calls;
-        DescriptorProgram d;
-        d.addLoop(sc.dotLoop, 2);
-        d.addComp(sc.dot);
-        d.addPassEnd();
-        d.addComp(sc.axpy);
-        d.addPassEnd();
-        sl[s].plan = rt.accPlan(d);
-        rt.accSubmitOn(sl[s].plan, s);
-    }
-    rt.waitAll();
-
-    res.prods.resize(p.dotCalls());
-    for (unsigned s = 0; s < slices; ++s) {
-        const std::size_t off = static_cast<std::size_t>(lo[s]) *
-                                p.nBlocks * p.nSteering * p.tbs;
-        const std::size_t count =
-            static_cast<std::size_t>(lo[s + 1] - lo[s]) * p.nBlocks *
-            p.nSteering * p.tbs;
-        std::copy(sl[s].out, sl[s].out + count,
-                  res.prods.begin() + static_cast<std::ptrdiff_t>(off));
-        rt.accDestroy(sl[s].plan);
-    }
-
-    if (exclusive) {
-        const runtime::RuntimeAccounting &acct = rt.accounting();
-        res.host = acct.host;
-        res.accel = acct.accel;
-        res.invocation = acct.invocation;
-        res.timeByAccel = acct.timeByAccel;
-        res.energyByAccel = acct.energyByAccel;
-        res.criticalPathSeconds = acct.makespanSeconds;
-        // The host burns package power only where the overlap-aware
-        // timeline leaves it idle.
-        host::CpuModel cpu(hwmodel::activeProfile().cpu);
-        const double idle_s =
-            std::max(0.0, acct.makespanSeconds - acct.hostBusySeconds);
-        const double idle_j = cpu.idleCost(idle_s).joules;
-        res.host.joules += idle_j;
-        res.ledger = rt.ledger();
-        res.ledger.post("host", {0.0, idle_j}, "package_idle");
-        res.ledger.attribute("host", idle_j);
-    }
-
-    res.libraryCalls = 2 + 2 + blas3_calls + p.dotCalls() + 1;
-    res.descriptors = 1 + slices;
-
-    for (unsigned s = 0; s < slices; ++s)
-        for (void *ptr : {static_cast<void *>(sl[s].snap),
-                          static_cast<void *>(sl[s].weights),
-                          static_cast<void *>(sl[s].prods),
-                          static_cast<void *>(sl[s].out)})
-            rt.memFree(ptr);
-    for (void *ptr : {static_cast<void *>(cube),
-                      static_cast<void *>(mid),
-                      static_cast<void *>(doppler)})
         rt.memFree(ptr);
     return res;
 }

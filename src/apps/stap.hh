@@ -83,12 +83,11 @@ struct StapResult
     Breakdown energyByAccel; //!< accel joules keyed by kind
     std::uint64_t descriptors = 0; //!< accelerator descriptors used
     std::uint64_t libraryCalls = 0; //!< logical library calls issued
-    /** Overlap-aware wall clock of the run (the runtime's makespan).
-     * Equals total().seconds for the blocking pipelines; smaller for
-     * runStapMealibAsync when stacks and host work overlap. */
+    /** The runtime's overlap-aware makespan of a MEALib run (fig13
+     * prints it); 0 for the host baseline. */
     double criticalPathSeconds = 0.0;
     /** Per-stage cost ledger of the run: the runtime's ledger for the
-     * MEALib pipelines (plus the host package-idle charge), a locally
+     * MEALib run (plus the host package-idle charge), a locally
      * built one for the host baseline. ledger.total() == total(). */
     EnergyLedger ledger;
 
@@ -116,18 +115,6 @@ StapResult runStapHost(const StapParams &p);
 StapResult runStapMealib(const StapParams &p,
                          runtime::MealibRuntime &rt,
                          bool exclusive = true);
-
-/**
- * runStapMealib with the weight/DOT/AXPY phase sliced by doppler bin:
- * each slice's buffers live on their own memory stack (memAllocOn), its
- * descriptor is accSubmit()ed to that stack, and the host computes the
- * next slice's adaptive weights while earlier slices' inner products run
- * near memory. Numerically identical to the blocking pipeline; the
- * overlap shows up as criticalPathSeconds < total().seconds.
- */
-StapResult runStapMealibAsync(const StapParams &p,
-                              runtime::MealibRuntime &rt,
-                              bool exclusive = true);
 
 } // namespace mealib::apps
 

@@ -99,13 +99,6 @@ EnergyLedger::count(const std::string &name, std::uint64_t n)
 }
 
 void
-EnergyLedger::note(const std::string &label)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    events_[label].count++;
-}
-
-void
 EnergyLedger::addFlops(double flops)
 {
     std::lock_guard<std::mutex> lock(mu_);

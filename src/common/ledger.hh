@@ -3,14 +3,14 @@
  * Cross-layer energy/EDP ledger (docs/MODEL.md).
  *
  * The models produce Cost deltas in many places — host roofline runs,
- * accelerator executions, invocation overheads, fault recovery,
- * dispatch decisions. An EnergyLedger collects them per run into one
- * observable record: named cost *tracks* whose sum is the run total,
- * an energy-only *component* attribution (DRAM vs. logic vs. NoC vs.
- * link vs. host package), a per-accelerator attribution, named integer
- * counters, and aggregated per-label event statistics. The ledger is
- * the runtime's only cost store: `MealibRuntime::accounting()` is a
- * view assembled from it, and `mealib-run --energy-json` serializes it.
+ * accelerator executions, invocation overheads, fault recovery. An
+ * EnergyLedger collects them per run into one observable record: named
+ * cost *tracks* whose sum is the run total, an energy-only *component*
+ * attribution (DRAM vs. logic vs. NoC vs. link vs. host package), a
+ * per-accelerator attribution, named integer counters, and aggregated
+ * per-label event statistics. The ledger is the runtime's only cost
+ * store: `MealibRuntime::accounting()` is a view assembled from it, and
+ * `mealib-run --energy-json` serializes it.
  */
 
 #ifndef MEALIB_COMMON_LEDGER_HH
@@ -29,12 +29,13 @@ namespace mealib {
 /**
  * Per-run cost ledger with track/component/event views.
  *
- * Internally synchronized: one ledger may be posted to from several
- * threads (a session's dispatcher notes decisions while the shared
- * runtime posts command costs), so every mutator and every aggregate
- * reader takes an internal mutex. The reference-returning views
- * (tracks()/events()/energyByComponent()/costByAccel()/counters()) are
- * *not* synchronized — read them only when no other thread is posting.
+ * Internally synchronized: every thread bound to a session posts its
+ * runtime commands' costs to that session's ledger (and to the
+ * runtime's aggregate one) while other threads read it, so every
+ * mutator and every aggregate reader takes an internal mutex. The
+ * reference-returning views (tracks()/events()/energyByComponent()/
+ * costByAccel()/counters()) are *not* synchronized — read them only
+ * when no other thread is posting.
  */
 class EnergyLedger
 {
@@ -79,9 +80,6 @@ class EnergyLedger
      * moved is absent and reads 0. Counters never change total().
      */
     void count(const std::string &name, std::uint64_t n = 1);
-
-    /** Record a zero-cost event (e.g. a dispatch decision). */
-    void note(const std::string &label);
 
     /** Record useful work for the GFLOPS/W summary metric. */
     void addFlops(double flops);

@@ -14,12 +14,6 @@ setVerbose(bool verbose)
     g_verbose = verbose;
 }
 
-bool
-verbose()
-{
-    return g_verbose;
-}
-
 void
 informStr(const std::string &msg)
 {

@@ -88,9 +88,6 @@ void warnStr(const std::string &msg);
 /** Enable/disable inform() output (warnings always print). */
 void setVerbose(bool verbose);
 
-/** @return whether inform() output is enabled. */
-bool verbose();
-
 /** Streamed variant of informStr(). */
 template <typename... Args>
 void

@@ -89,31 +89,11 @@ Dispatcher::detachBackend()
         backend = backend_;
         backend_ = nullptr;
     }
-    // Flush any batched work outside the lock so the backend may call
-    // back into attached ledgers without deadlocking.
+    // Flush any batched work outside the lock, as run() does: the flush
+    // submits runtime commands, and other threads sharing this
+    // dispatcher need not wait behind them.
     if (backend != nullptr)
         backend->sync();
-}
-
-bool
-Dispatcher::hasBackend() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return backend_ != nullptr;
-}
-
-void
-Dispatcher::attachLedger(EnergyLedger *ledger)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    ledger_ = ledger;
-}
-
-void
-Dispatcher::detachLedger()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    ledger_ = nullptr;
 }
 
 Backend
@@ -148,9 +128,6 @@ Dispatcher::run(const OpDesc &desc, const std::function<void()> &hostFn)
             s.accelDecisions++;
         else
             s.hostDecisions++;
-        if (ledger_ != nullptr)
-            ledger_->note(std::string("dispatch/") + name(desc.kind) +
-                          "/" + name(side));
     }
 
     if (side == Backend::Host) {
@@ -187,7 +164,7 @@ Dispatcher::run(const OpDesc &desc, const std::function<void()> &hostFn)
         reason = st.code() == ErrorCode::InvalidArgument
                      ? FallbackReason::Unmappable
                      : FallbackReason::BackendError;
-        if (reason == FallbackReason::BackendError && !desc.rerunSafe) {
+        if (reason == FallbackReason::BackendError && !rerunSafe(desc)) {
             {
                 std::lock_guard<std::mutex> lock(mu_);
                 OpStats &s = stats_.of(desc.kind);
@@ -203,9 +180,6 @@ Dispatcher::run(const OpDesc &desc, const std::function<void()> &hostFn)
         OpStats &s = stats_.of(desc.kind);
         s.fallbacks++;
         s.fallbackBy[static_cast<std::size_t>(reason)]++;
-        if (ledger_ != nullptr)
-            ledger_->note(std::string("dispatch/") + name(desc.kind) +
-                          "/fallback");
     }
     if (backend != nullptr)
         backend->sync();
@@ -217,13 +191,6 @@ Dispatcher::snapshot() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return stats_;
-}
-
-void
-Dispatcher::resetStats()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_ = DispatchStats{};
 }
 
 Dispatcher &

@@ -21,7 +21,6 @@
 #include <memory>
 #include <mutex>
 
-#include "common/ledger.hh"
 #include "common/status.hh"
 #include "dispatch/policy.hh"
 #include "dispatch/telemetry.hh"
@@ -92,30 +91,19 @@ class Dispatcher
      */
     void attachBackend(AccelBackend *backend);
     void detachBackend();
-    bool hasBackend() const;
-
-    /**
-     * Attach / detach an energy ledger (not owned; detach before
-     * destroying it). Each decision and fallback is recorded as a
-     * zero-cost note ("dispatch/<kind>/<side>"), so a run's JSON shows
-     * where every call went without perturbing the cost totals.
-     */
-    void attachLedger(EnergyLedger *ledger);
-    void detachLedger();
 
     /**
      * Execute @p desc: ask the policy for a side, then run @p hostFn
      * (host) or the backend (accel). Declines — no backend,
      * unsupported, unmappable, or the backend refusing the call before
      * it runs — always fall back to @p hostFn. A backend *error* after
-     * submission reruns @p hostFn when @p desc.rerunSafe and otherwise
+     * submission reruns @p hostFn when rerunSafe(@p desc) and otherwise
      * propagates as MealibError.
      */
     void run(const OpDesc &desc, const std::function<void()> &hostFn);
 
     /** Copy of the accumulated telemetry. */
     DispatchStats snapshot() const;
-    void resetStats();
 
     /**
      * The default-session dispatcher: used by the MKL-compatible layer
@@ -134,7 +122,6 @@ class Dispatcher
     std::unique_ptr<OffloadPolicy> policy_;
     std::shared_ptr<const CostModel> costs_;
     AccelBackend *backend_ = nullptr;
-    EnergyLedger *ledger_ = nullptr;
     DispatchStats stats_;
 };
 

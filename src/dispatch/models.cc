@@ -7,27 +7,11 @@
 
 namespace mealib::dispatch {
 
-const hwmodel::MachineProfile &
-machineFor(HostKind host)
-{
-    return hwmodel::profile(host == HostKind::XeonPhi ? "xeonphi5110p"
-                                                      : "haswell4770k");
-}
-
-HostOpProfile
-hostOpProfile(HostKind host, accel::AccelKind kind)
-{
-    // The calibration tables live in the machine profiles
-    // (src/hwmodel/profile.cc) so dispatch, eval and the benches price
-    // host execution from the same source.
-    return machineFor(host).opEfficiency(kind);
-}
-
 host::KernelProfile
 hostKernelProfile(const hwmodel::MachineProfile &m,
                   const accel::OpCall &call, const accel::LoopSpec &loop)
 {
-    const HostOpProfile &p = m.opEfficiency(call.kind);
+    const hwmodel::HostOpEfficiency &p = m.opEfficiency(call.kind);
     double iters = static_cast<double>(loop.iterations());
 
     host::KernelProfile k;
@@ -50,13 +34,6 @@ hostKernelProfile(const hwmodel::MachineProfile &m,
     // Library call dispatch + thread wakeup; heavier on the Phi.
     k.callOverheads = m.callOverheadSeconds;
     return k;
-}
-
-host::KernelProfile
-hostKernelProfile(HostKind host, const accel::OpCall &call,
-                  const accel::LoopSpec &loop)
-{
-    return hostKernelProfile(machineFor(host), call, loop);
 }
 
 RooflineCostModel::RooflineCostModel()
@@ -122,13 +99,6 @@ RooflineCostModel::setFusionWindow(unsigned window)
     // No cache clear: accel estimates are keyed by the window they were
     // priced under, so toggling back reuses the earlier entries.
     fusionWindow_ = window < 1 ? 1 : window;
-}
-
-unsigned
-RooflineCostModel::fusionWindow() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return fusionWindow_;
 }
 
 double

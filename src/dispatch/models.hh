@@ -25,31 +25,10 @@
 
 namespace mealib::dispatch {
 
-/** The two host platforms of Table 3. */
-enum class HostKind
-{
-    Haswell, //!< Intel i7-4770K (the baseline MKL host)
-    XeonPhi, //!< Xeon Phi 5110P
-};
-
-/** The registry profile behind @p host (haswell4770k / xeonphi5110p). */
-const hwmodel::MachineProfile &machineFor(HostKind host);
-
-/** The calibration tables now live in the hardware-model registry. */
-using HostOpProfile = hwmodel::HostOpEfficiency;
-
-/** Calibration entry for @p kind on @p host. */
-HostOpProfile hostOpProfile(HostKind host, accel::AccelKind kind);
-
 /**
- * Full host execution profile of @p call iterated over @p loop —
- * the record host::CpuModel::run() prices.
+ * Full host execution profile of @p call iterated over @p loop on
+ * machine @p m — the record host::CpuModel::run() prices.
  */
-host::KernelProfile hostKernelProfile(HostKind host,
-                                      const accel::OpCall &call,
-                                      const accel::LoopSpec &loop);
-
-/** hostKernelProfile() against an explicit machine profile. */
 host::KernelProfile hostKernelProfile(const hwmodel::MachineProfile &m,
                                       const accel::OpCall &call,
                                       const accel::LoopSpec &loop);
@@ -85,7 +64,6 @@ class RooflineCostModel final : public CostModel
      * as 1 (no fusion — the exact legacy pricing).
      */
     void setFusionWindow(unsigned window);
-    unsigned fusionWindow() const;
 
     const hwmodel::MachineProfile &machine() const { return machine_; }
 

@@ -111,9 +111,6 @@ axpyCommon(const char *entry, std::int64_t n, float alpha, float beta,
     d.operands[0] = {x, spanBytes(n, incx, es), false};
     d.operands[4] = {y, spanBytes(n, incy, es), true};
     d.accelSupported = n > 0;
-    // beta != 0 reads y: re-running the host kernel after a partial
-    // accelerator attempt would double-apply the update.
-    d.rerunSafe = !complexData && beta == 0.0f;
     return d;
 }
 
@@ -215,7 +212,6 @@ lowerSgemv(mkl::Order order, mkl::Transpose trans, std::int64_t m,
     // with a packed matrix and unit-stride y (accel/layer.cc).
     d.accelSupported =
         noTrans && m > 0 && n > 0 && lda == n && incy == 1;
-    d.rerunSafe = beta == 0.0f;
     return d;
 }
 
@@ -304,7 +300,6 @@ lowerTranspose(std::int64_t rows, std::int64_t cols, float alpha,
     d.operands[0] = {a, bytes, false};
     d.operands[4] = {b, bytes, true};
     d.accelSupported = mappable && rows > 0 && cols > 0;
-    d.rerunSafe = !inPlace;
     return d;
 }
 
@@ -326,7 +321,6 @@ lowerFft(const mkl::FftPlan &plan, const cfloat *in, cfloat *out)
         d.bytesOverride = static_cast<double>(batch) * 16.0;
         d.operands[0] = {in, batch * 8, false};
         d.operands[4] = {out, batch * 8, true};
-        d.rerunSafe = in != out;
         return d;
     }
     d.kind = OpKind::Fft;
@@ -350,13 +344,12 @@ lowerFft(const mkl::FftPlan &plan, const cfloat *in, cfloat *out)
     // laid out at a `pts` distance (accel/layer.cc).
     d.accelSupported = !dims.empty() && dims.back().is == 1 &&
                        dims.back().os == 1;
-    d.rerunSafe = in != out;
     return d;
 }
 
 OpDesc
 lowerSgemm(std::int64_t m, std::int64_t n, std::int64_t k,
-           const float *a, const float *b, float beta, float *c)
+           const float *a, const float *b, float *c)
 {
     OpDesc d;
     d.kind = OpKind::Gemm;
@@ -373,13 +366,11 @@ lowerSgemm(std::int64_t m, std::int64_t n, std::int64_t k,
     d.operands[0] = {a, static_cast<std::uint64_t>(m * k) * 4, false};
     d.operands[1] = {b, static_cast<std::uint64_t>(k * n) * 4, false};
     d.operands[4] = {c, static_cast<std::uint64_t>(m * n) * 4, true};
-    d.rerunSafe = beta == 0.0f;
     return d;
 }
 
 OpDesc
-lowerCherk(std::int64_t n, std::int64_t k, const cfloat *a, float beta,
-           cfloat *c)
+lowerCherk(std::int64_t n, std::int64_t k, const cfloat *a, cfloat *c)
 {
     OpDesc d;
     d.kind = OpKind::Herk;
@@ -394,7 +385,6 @@ lowerCherk(std::int64_t n, std::int64_t k, const cfloat *a, float beta,
                static_cast<double>(n) * static_cast<double>(n));
     d.operands[0] = {a, static_cast<std::uint64_t>(n * k) * 8, false};
     d.operands[4] = {c, static_cast<std::uint64_t>(n * n) * 8, true};
-    d.rerunSafe = beta == 0.0f;
     return d;
 }
 
@@ -413,7 +403,6 @@ lowerCtrsm(std::int64_t m, std::int64_t n, const cfloat *a, cfloat *b)
                2.0 * static_cast<double>(m) * static_cast<double>(n));
     d.operands[0] = {a, static_cast<std::uint64_t>(m * m) * 8, false};
     d.operands[4] = {b, static_cast<std::uint64_t>(m * n) * 8, true};
-    d.rerunSafe = false; // solves in place
     return d;
 }
 
@@ -427,7 +416,6 @@ lowerSscal(std::int64_t n, const float *x, std::int64_t incx)
     d.flopsOverride = static_cast<double>(n > 0 ? n : 0);
     d.bytesOverride = 8.0 * static_cast<double>(n > 0 ? n : 0);
     d.operands[4] = {x, spanBytes(n, incx, 4), true};
-    d.rerunSafe = false; // scales in place
     return d;
 }
 
@@ -455,9 +443,26 @@ opDescFromCall(const accel::OpCall &call, const accel::LoopSpec &loop)
     d.call = call;
     d.loop = loop;
     d.accelSupported = true;
-    // Physical bases are preset; the host never re-runs TDL comps.
-    d.rerunSafe = false;
     return d;
+}
+
+bool
+rerunSafe(const OpDesc &desc)
+{
+    // TDL calls carry physical bases: no host operand to rerun on.
+    const Operand &out = desc.operands[4];
+    if (!accelerable(desc.kind) || accel::readsOutput(desc.call) ||
+        out.host == nullptr)
+        return false;
+    const auto lo = reinterpret_cast<std::uintptr_t>(out.host);
+    for (const Operand &in : desc.operands) {
+        const auto inLo = reinterpret_cast<std::uintptr_t>(in.host);
+        // In place: the write destroys an input a rerun would read.
+        if (!in.written && in.host != nullptr && inLo < lo + out.bytes &&
+            lo < inLo + in.bytes)
+            return false;
+    }
+    return true;
 }
 
 } // namespace mealib::dispatch

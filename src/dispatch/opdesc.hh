@@ -105,14 +105,6 @@ struct OpDesc
      */
     bool backendMappable = true;
 
-    /**
-     * Whether the host kernel may be re-run after a failed offload.
-     * False for calls that read their output (axpy with beta != 0,
-     * gemv accumulating into y, in-place transpose): re-executing those
-     * after a partial accelerator run would double-apply.
-     */
-    bool rerunSafe = true;
-
     /** Operands in OpCall slot order: in0, in1, in2, in3, out. */
     std::array<Operand, 5> operands{};
 
@@ -168,9 +160,9 @@ OpDesc lowerFft(const mkl::FftPlan &plan, const mkl::cfloat *in,
 
 // Host-only kinds (the paper's compute-bounded calls).
 OpDesc lowerSgemm(std::int64_t m, std::int64_t n, std::int64_t k,
-                  const float *a, const float *b, float beta, float *c);
+                  const float *a, const float *b, float *c);
 OpDesc lowerCherk(std::int64_t n, std::int64_t k, const mkl::cfloat *a,
-                  float beta, mkl::cfloat *c);
+                  mkl::cfloat *c);
 OpDesc lowerCtrsm(std::int64_t m, std::int64_t n, const mkl::cfloat *a,
                   mkl::cfloat *b);
 OpDesc lowerSscal(std::int64_t n, const float *x, std::int64_t incx);
@@ -184,6 +176,16 @@ OpDesc lowerScopy(std::int64_t n, const float *x, std::int64_t incx,
  */
 OpDesc opDescFromCall(const accel::OpCall &call,
                       const accel::LoopSpec &loop);
+
+/**
+ * Whether the host kernel may rerun after a failed offload of @p desc.
+ * True only for an accelerable kind that does not read its output
+ * (accel::readsOutput) and whose written host operand overlaps no read
+ * one: rerunning anything else after a partial accelerator run would
+ * apply the update twice. TDL calls (no host operand) and host-only
+ * kinds (never offloaded) are not rerun-safe.
+ */
+bool rerunSafe(const OpDesc &desc);
 
 } // namespace mealib::dispatch
 

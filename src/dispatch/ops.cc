@@ -2,7 +2,6 @@
 
 #include "dispatch/dispatcher.hh"
 #include "minimkl/blas1.hh"
-#include "minimkl/blas2.hh"
 #include "minimkl/blas3.hh"
 #include "minimkl/transpose.hh"
 
@@ -58,20 +57,6 @@ cdotc(std::int64_t n, const mkl::cfloat *x, std::int64_t incx,
 }
 
 void
-sgemv(mkl::Order order, mkl::Transpose trans, std::int64_t m,
-      std::int64_t n, float alpha, const float *a, std::int64_t lda,
-      const float *x, std::int64_t incx, float beta, float *y,
-      std::int64_t incy)
-{
-    OpDesc d = lowerSgemv(order, trans, m, n, alpha, a, lda, x, incx,
-                          beta, y, incy);
-    currentDispatcher().run(d, [&] {
-        mkl::sgemv(order, trans, m, n, alpha, a, lda, x, incx, beta, y,
-                   incy);
-    });
-}
-
-void
 scsrmv(const mkl::CsrMatrix &a, const float *x, float *y)
 {
     OpDesc d = lowerScsrmv(a, x, y);
@@ -83,7 +68,7 @@ cherk(mkl::Order order, mkl::Uplo uplo, mkl::Transpose trans,
       std::int64_t n, std::int64_t k, float alpha, const mkl::cfloat *a,
       std::int64_t lda, float beta, mkl::cfloat *c, std::int64_t ldc)
 {
-    OpDesc d = lowerCherk(n, k, a, beta, c);
+    OpDesc d = lowerCherk(n, k, a, c);
     currentDispatcher().run(d, [&] {
         mkl::cherk(order, uplo, trans, n, k, alpha, a, lda, beta, c,
                    ldc);

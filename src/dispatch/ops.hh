@@ -31,10 +31,6 @@ float sdot(std::int64_t n, const float *x, std::int64_t incx,
 mkl::cfloat cdotc(std::int64_t n, const mkl::cfloat *x,
                   std::int64_t incx, const mkl::cfloat *y,
                   std::int64_t incy);
-void sgemv(mkl::Order order, mkl::Transpose trans, std::int64_t m,
-           std::int64_t n, float alpha, const float *a, std::int64_t lda,
-           const float *x, std::int64_t incx, float beta, float *y,
-           std::int64_t incy);
 void scsrmv(const mkl::CsrMatrix &a, const float *x, float *y);
 void cherk(mkl::Order order, mkl::Uplo uplo, mkl::Transpose trans,
            std::int64_t n, std::int64_t k, float alpha,

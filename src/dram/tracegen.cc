@@ -65,14 +65,6 @@ TraceBuilder::TraceBuilder(const DramParams &params,
             "sampling cap smaller than one burst");
 }
 
-double
-TraceBuilder::sampleFraction(std::uint64_t total_bytes) const
-{
-    if (total_bytes <= cap_)
-        return 1.0;
-    return static_cast<double>(cap_) / static_cast<double>(total_bytes);
-}
-
 void
 TraceBuilder::chunk(Stream &s, Addr base, std::uint64_t bytes, bool write)
 {

@@ -81,9 +81,6 @@ class TraceBuilder
         std::uint64_t sampledBytes = 0;
     };
 
-    /** Fraction of each stream to materialize given the window cap. */
-    double sampleFraction(std::uint64_t total_bytes) const;
-
     /** Split [base, base+bytes) into burst-sized requests. */
     void chunk(Stream &s, Addr base, std::uint64_t bytes, bool write);
 

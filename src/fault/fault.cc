@@ -31,21 +31,6 @@ name(FaultKind kind)
     }
 }
 
-bool
-transient(FaultKind kind)
-{
-    switch (kind) {
-      case FaultKind::EccUncorrectable:
-      case FaultKind::LinkCrc:
-      case FaultKind::CommandHang:
-      case FaultKind::ComputeTransient:
-      case FaultKind::SilentCorruption:
-        return true;
-      default:
-        return false;
-    }
-}
-
 Status
 FaultConfig::validate() const
 {

@@ -47,9 +47,6 @@ enum class FaultKind
 /** Printable fault name ("ecc_correctable", "link_crc", ...). */
 const char *name(FaultKind kind);
 
-/** @return whether a retry can possibly clear @p kind. */
-bool transient(FaultKind kind);
-
 /** Sentinel for "no scripted stack failure". */
 inline constexpr unsigned kNoStack =
     std::numeric_limits<unsigned>::max();

@@ -16,14 +16,6 @@ Checksum::update(const void *data, std::size_t n)
     state_ = h;
 }
 
-std::uint64_t
-checksumBytes(const void *data, std::size_t n)
-{
-    Checksum c;
-    c.update(data, n);
-    return c.value();
-}
-
 Status
 IntegrityConfig::validate() const
 {

@@ -50,9 +50,6 @@ class Checksum
     std::uint64_t state_ = kOffsetBasis;
 };
 
-/** One-shot checksum over a byte range. */
-std::uint64_t checksumBytes(const void *data, std::size_t n);
-
 /** Per-transfer operand verification knobs (resolved against the
  * active machine profile by RuntimeConfig's constructor). */
 struct IntegrityConfig

@@ -111,11 +111,11 @@ hostProfile(Platform platform, const OpCall &call, const LoopSpec &loop)
     fatalIf(platform != Platform::HaswellMkl &&
                 platform != Platform::XeonPhiMkl,
             "hostProfile: not a host platform");
-    // The per-op efficiency tables moved to dispatch/models.cc so the
-    // offload policies and the eval layer price hosts identically.
+    // The same pricing the offload policies use (dispatch/models.cc).
     return dispatch::hostKernelProfile(
-        platform == Platform::HaswellMkl ? dispatch::HostKind::Haswell
-                                         : dispatch::HostKind::XeonPhi,
+        hwmodel::profile(platform == Platform::HaswellMkl
+                             ? "haswell4770k"
+                             : "xeonphi5110p"),
         call, loop);
 }
 
@@ -163,74 +163,6 @@ evaluateOp(Platform platform, const Workload &w)
       default:
         panic("evaluateOp: bad platform");
     }
-}
-
-Status
-evaluateOpSharded(const Workload &w, runtime::MealibRuntime &rt,
-                  OpResult *out)
-{
-    fatalIf(out == nullptr, "evaluateOpSharded: null result pointer");
-    if (rt.layer().functional())
-        return Status::error(
-            ErrorCode::InvalidArgument,
-            "evaluateOpSharded: needs a cost-only runtime "
-            "(RuntimeConfig::functional = false); the synthetic operand "
-            "placement would execute on unrelated arena bytes");
-    const unsigned stacks = rt.numStacks();
-    const std::uint32_t outer = w.loop.dims[0];
-    const unsigned shards = std::min<unsigned>(
-        stacks, outer > 0 ? outer : 1);
-
-    OpResult r;
-    double iters = static_cast<double>(w.loop.iterations());
-    r.flops = w.call.flops() * iters;
-    r.bytes = w.call.trafficBytes() * iters;
-
-    // Synthetic per-stack operand placement: every shard's operands sit
-    // inside its own stack's address range, spaced an eighth of the
-    // stack span apart, so the locality scheduler homes each descriptor
-    // with zero remote-link traffic.
-    const std::uint64_t span =
-        rt.config().backingBytes / rt.config().numStacks;
-    const std::uint64_t slot = span / 8;
-
-    const double makespan0 = rt.accounting().makespanSeconds;
-    const Cost total0 = rt.accounting().total();
-
-    std::vector<runtime::AccPlanHandle> handles;
-    for (unsigned s = 0; s < shards; ++s) {
-        accel::OpCall call = w.call;
-        const std::uint64_t base =
-            static_cast<std::uint64_t>(s) * span +
-            (s == 0 ? rt.config().commandBytes : 0);
-        call.in0.base = base;
-        call.in1.base = base + slot;
-        call.in2.base = base + 2 * slot;
-        call.in3.base = base + 3 * slot;
-        call.out.base = base + 4 * slot;
-
-        accel::DescriptorProgram d;
-        if (outer > 1) {
-            LoopSpec loop = w.loop;
-            loop.dims[0] = outer / shards +
-                           (s < outer % shards ? 1 : 0);
-            d.addLoop(loop, 2);
-            d.addComp(call);
-        } else {
-            d.addComp(call);
-        }
-        d.addPassEnd();
-        handles.push_back(rt.accPlan(d));
-        rt.accSubmitOn(handles.back(), s);
-    }
-    rt.waitAll();
-
-    r.cost.seconds = rt.accounting().makespanSeconds - makespan0;
-    r.cost.joules = rt.accounting().total().joules - total0.joules;
-    for (runtime::AccPlanHandle h : handles)
-        rt.accDestroy(h);
-    *out = r;
-    return Status();
 }
 
 } // namespace mealib::eval

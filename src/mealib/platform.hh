@@ -17,10 +17,8 @@
 
 #include "accel/model.hh"
 #include "accel/ops.hh"
-#include "common/status.hh"
 #include "common/units.hh"
 #include "host/cpu.hh"
-#include "runtime/runtime.hh"
 
 namespace mealib::eval {
 
@@ -91,21 +89,6 @@ Workload table2Workload(accel::AccelKind kind, double scale = 1.0);
 
 /** Evaluate one workload on one platform. */
 OpResult evaluateOp(Platform platform, const Workload &workload);
-
-/**
- * Evaluate a looped MEALib workload sharded across @p rt's memory
- * stacks: the outermost LOOP dimension is split into one descriptor per
- * stack, each with operands homed on its own stack, submitted through
- * the asynchronous command queues and waited together. The returned
- * seconds are the overlap-aware makespan of the fan-out (joules are the
- * sum — energy does not overlap away). Requires a cost-only runtime
- * (RuntimeConfig::functional = false): the Table-2 operand sizes exceed
- * the functional arena. Returns InvalidArgument (and leaves @p out
- * untouched) for a functional runtime instead of executing descriptors
- * over unrelated arena bytes.
- */
-Status evaluateOpSharded(const Workload &workload,
-                         runtime::MealibRuntime &rt, OpResult *out);
 
 /**
  * Host-side execution profile of @p call on @p platform (HaswellMkl or

@@ -124,7 +124,7 @@ cblas_sgemm(CBLAS_LAYOUT layout, CBLAS_TRANSPOSE transa,
             const float *a, int lda, const float *b, int ldb, float beta,
             float *c, int ldc)
 {
-    run(dsp::lowerSgemm(m, n, k, a, b, beta, c), [&] {
+    run(dsp::lowerSgemm(m, n, k, a, b, c), [&] {
         mkl::sgemm(toOrder(layout), toTrans(transa), toTrans(transb), m,
                    n, k, alpha, a, lda, b, ldb, beta, c, ldc);
     });
@@ -135,7 +135,7 @@ cblas_cherk(CBLAS_LAYOUT layout, CBLAS_UPLO uplo, CBLAS_TRANSPOSE trans,
             int n, int k, float alpha, const void *a, int lda, float beta,
             void *c, int ldc)
 {
-    run(dsp::lowerCherk(n, k, cf(a), beta, cf(c)), [&] {
+    run(dsp::lowerCherk(n, k, cf(a), cf(c)), [&] {
         mkl::cherk(toOrder(layout), static_cast<mkl::Uplo>(uplo),
                    toTrans(trans), n, k, alpha, cf(a), lda, beta, cf(c),
                    ldc);

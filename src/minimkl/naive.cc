@@ -85,20 +85,4 @@ fftRecursive(const cfloat *in, cfloat *out, std::int64_t n, int dir)
     }
 }
 
-void
-resampleNearest(const float *in, std::int64_t n, float *out,
-                std::int64_t m)
-{
-    for (std::int64_t j = 0; j < m; ++j) {
-        double x = m > 1 ? static_cast<double>(j) *
-                               static_cast<double>(n - 1) /
-                               static_cast<double>(m - 1)
-                         : 0.0;
-        auto i = static_cast<std::int64_t>(x + 0.5);
-        if (i > n - 1)
-            i = n - 1;
-        out[j] = in[i];
-    }
-}
-
 } // namespace mealib::mkl::naive

@@ -39,10 +39,6 @@ void spmv(const CsrMatrix &a, const float *x, float *y);
 void fftRecursive(const cfloat *in, cfloat *out, std::int64_t n,
                   int dir);
 
-/** Nearest-neighbour "resampler" a non-specialist would write. */
-void resampleNearest(const float *in, std::int64_t n, float *out,
-                     std::int64_t m);
-
 } // namespace mealib::mkl::naive
 
 #endif // MEALIB_MINIMKL_NAIVE_HH

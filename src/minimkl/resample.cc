@@ -116,11 +116,4 @@ interpolate1dAt(const float *in, std::int64_t n, const double *x,
     interpolateAt(in, n, x, m, out, kind);
 }
 
-void
-interpolate1dAtC(const cfloat *in, std::int64_t n, const double *x,
-                 std::int64_t m, cfloat *out, InterpKind kind)
-{
-    interpolateAt(in, n, x, m, out, kind);
-}
-
 } // namespace mealib::mkl

@@ -43,10 +43,6 @@ void resample1dc(const cfloat *in, std::int64_t n, cfloat *out,
 void interpolate1dAt(const float *in, std::int64_t n, const double *x,
                      std::int64_t m, float *out, InterpKind kind);
 
-/** Complex variant of interpolate1dAt(). */
-void interpolate1dAtC(const cfloat *in, std::int64_t n, const double *x,
-                      std::int64_t m, cfloat *out, InterpKind kind);
-
 } // namespace mealib::mkl
 
 #endif // MEALIB_MINIMKL_RESAMPLE_HH

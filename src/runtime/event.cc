@@ -104,8 +104,7 @@ rerunSafe(const accel::DescriptorProgram &prog)
         const OpCall &c = in.call;
         // Accumulating forms read their own previous output: replaying
         // them doubles the accumulation.
-        if ((c.kind == AccelKind::AXPY || c.kind == AccelKind::GEMV) &&
-            c.beta != 0.0f)
+        if (accel::readsOutput(c))
             return false;
         // In-place updates: a write operand overlapping a read operand
         // destroys the input a replay would need.

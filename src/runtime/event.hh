@@ -96,11 +96,11 @@ accessIntervals(const accel::DescriptorProgram &prog);
 
 /**
  * Whether every COMP in @p prog can be re-executed from scratch (or
- * from a checkpoint) without changing its results: no accumulating
- * AXPY/GEMV (beta != 0 reads the previous output) and no write operand
- * overlapping a read operand (in-place updates). Mirrors the dispatch
- * layer's OpDesc::rerunSafe for descriptor programs; the checkpoint
- * layer only journals rerunSafe programs.
+ * from a checkpoint) without changing its results: none reads its own
+ * output (accel::readsOutput) and no write operand overlaps a read
+ * operand (in-place updates). The dispatch layer's dispatch::rerunSafe
+ * applies the same rule to host operands; the checkpoint layer only
+ * journals rerunSafe programs.
  */
 bool rerunSafe(const accel::DescriptorProgram &prog);
 

@@ -49,18 +49,14 @@ RuntimeConfig::validate() const
         return err("runtime config: backing arena must be non-empty "
                    "(backingBytes == 0)");
     }
-    if (commandBytes == 0) {
-        return err("runtime config: command space must be non-empty "
-                   "(commandBytes == 0)");
-    }
     const std::uint64_t span = backingBytes / numStacks;
-    if (commandBytes >= span) {
+    if (kCommandBytes >= span) {
         return err("runtime config: command space (" +
-                   std::to_string(commandBytes) +
+                   std::to_string(kCommandBytes) +
                    " B) swallows stack 0's data region (" +
                    std::to_string(span) +
-                   " B per stack); grow backingBytes or shrink "
-                   "commandBytes");
+                   " B per stack); grow backingBytes or use fewer "
+                   "stacks");
     }
     if (queueDepth == 0) {
         return err("runtime config: per-stack command queues need a "
@@ -131,7 +127,7 @@ MealibRuntime::MealibRuntime(const RuntimeConfig &cfg)
       mem_(std::make_unique<dram::PhysMem>(cfg.backingBytes)),
       layer_(cfg.dram, cfg.mesh, cfg.functional), host_(cfg.hostCpu),
       sched_(cfg.scheduler), faults_(cfg.fault), mesh_(cfg.mesh),
-      slowdown_(cfg.numStacks, 1.0), health_(cfg.health, cfg.numStacks)
+      health_(cfg.health, cfg.numStacks)
 {
     const std::uint64_t span = cfg.backingBytes / cfg.numStacks;
     // The driver reserves the contiguous region and splits it: command
@@ -139,12 +135,11 @@ MealibRuntime::MealibRuntime(const RuntimeConfig &cfg)
     // region per memory stack (Sec. 3.3: data should be allocated on
     // the accelerator's Local Memory Stack). Each stack has its own
     // command queue, so independent queues execute in parallel.
-    cmdAlloc_ =
-        std::make_unique<ContigAllocator>(0, cfg.commandBytes);
+    cmdAlloc_ = std::make_unique<ContigAllocator>(0, kCommandBytes);
     for (unsigned st = 0; st < cfg.numStacks; ++st) {
         std::uint64_t base = static_cast<std::uint64_t>(st) * span +
-                             (st == 0 ? cfg.commandBytes : 0);
-        std::uint64_t size = span - (st == 0 ? cfg.commandBytes : 0);
+                             (st == 0 ? kCommandBytes : 0);
+        std::uint64_t size = span - (st == 0 ? kCommandBytes : 0);
         dataAllocs_.push_back(
             std::make_unique<ContigAllocator>(base, size));
         stacks_.push_back(std::make_unique<dram::Stack>(cfg.dram));
@@ -723,12 +718,10 @@ MealibRuntime::place(Submission &s, unsigned strikeOut)
     });
 
     // Stack occupancy: clean span plus verification, journaling and any
-    // fault-recovery time, scaled by the stack's degradation factor
-    // (1.0 while healthy — exact).
-    const double occupancy = s.occupancySeconds * slowdown_[s.stack];
+    // fault-recovery time.
     const double start = std::max(hazardReady(plan.intervals, hostSeconds_),
                                   q.busyUntilSeconds());
-    const double finish = start + occupancy;
+    const double finish = start + s.occupancySeconds;
     q.push(start, finish);
 
     auto state = newEventState();
@@ -930,8 +923,7 @@ MealibRuntime::failStackLocked(unsigned stackIdx)
                 resumeFrac = journal_.lastFractionAtOrBefore(
                     state->command, execFrac);
             }
-            const double span = state->spanSeconds *
-                                (1.0 - resumeFrac) * slowdown_[dest];
+            const double span = state->spanSeconds * (1.0 - resumeFrac);
             q2.push(ready, ready + span);
             state->stack = dest;
             state->startSeconds = ready;
@@ -977,26 +969,6 @@ MealibRuntime::healthyStackCount() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return health_.liveCount();
-}
-
-void
-MealibRuntime::degradeStack(unsigned stackIdx, double slowdown)
-{
-    fatalIf(stackIdx >= cfg_.numStacks, "degradeStack: stack ",
-            stackIdx, " out of range (", cfg_.numStacks, " stacks)");
-    fatalIf(slowdown < 1.0, "degradeStack: slowdown must be >= 1, got ",
-            slowdown);
-    std::lock_guard<std::mutex> lock(mu_);
-    slowdown_[stackIdx] = slowdown;
-}
-
-double
-MealibRuntime::stackSlowdown(unsigned stackIdx) const
-{
-    fatalIf(stackIdx >= cfg_.numStacks, "stackSlowdown: stack ",
-            stackIdx, " out of range (", cfg_.numStacks, " stacks)");
-    std::lock_guard<std::mutex> lock(mu_);
-    return slowdown_[stackIdx];
 }
 
 StackHealth
@@ -1396,7 +1368,6 @@ MealibRuntime::resetAccounting()
     epoch_++;
     cmdIndex_ = 0;
     faults_.reset();
-    slowdown_.assign(cfg_.numStacks, 1.0);
     health_.reset();
     journal_.reset();
     residency_.reset();

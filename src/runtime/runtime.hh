@@ -90,11 +90,13 @@ struct RetryPolicy
     bool hostFallback = true;
 };
 
+/** Command space at the base of stack 0 (descriptor images). */
+constexpr std::uint64_t kCommandBytes = 1_MiB;
+
 /** Construction parameters of the runtime. */
 struct RuntimeConfig
 {
     std::uint64_t backingBytes = 256_MiB; //!< functional arena size
-    std::uint64_t commandBytes = 1_MiB;   //!< command space size
     unsigned numStacks = 1;               //!< memory stacks (Fig. 2)
     dram::DramParams dram;                //!< each accelerated stack
     host::CpuParams hostCpu;              //!< the host processor
@@ -359,17 +361,6 @@ class MealibRuntime
     /** Stacks that have not failed. */
     unsigned healthyStackCount() const;
 
-    /**
-     * Mark @p stack degraded: commands it executes occupy the timeline
-     * @p slowdown times longer (>= 1). The serial cost ledger is
-     * unchanged — degradation is visible in the overlap-aware view
-     * (makespan, busyByStack). Reset by resetAccounting().
-     */
-    void degradeStack(unsigned stack, double slowdown);
-
-    /** Current timeline slowdown factor of @p stack (1 = healthy). */
-    double stackSlowdown(unsigned stack) const;
-
     /** The seeded fault injector (history log lives here). */
     const fault::FaultModel &faultModel() const { return faults_; }
 
@@ -406,7 +397,6 @@ class MealibRuntime
      * cost store. It holds the host/accel/invocation/integrity tracks,
      * energy by physical component (dram/logic/noc/link/fault/host),
      * cost by accelerator, the runtime counters and per-label events.
-     * External layers (the dispatcher) may note their own events.
      */
     EnergyLedger &ledger() { return ledger_; }
     const EnergyLedger &ledger() const { return ledger_; }
@@ -618,8 +608,7 @@ class MealibRuntime
     // --- fault-injection state (reset by resetAccounting) --------------
     fault::FaultModel faults_;
     noc::Mesh mesh_; //!< CRC replay penalties on the SerDes/NoC links
-    std::vector<double> slowdown_; //!< per-stack degradation factor
-    std::uint64_t cmdIndex_ = 0;   //!< global submission counter
+    std::uint64_t cmdIndex_ = 0; //!< global submission counter
 
     // --- integrity/checkpoint/health state (reset by resetAccounting) --
     StackHealthMonitor health_;

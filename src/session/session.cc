@@ -52,7 +52,6 @@ Session::init(const SessionOptions &opts)
     dispatcher_.setPolicy(std::move(policy)); // null resets to HostOnly
     auto costs = std::make_shared<dispatch::RooflineCostModel>(machine_);
     dispatcher_.setCostModel(costs);
-    dispatcher_.attachLedger(&ledger_);
     if (opts.attachBackend) {
         backend_ =
             std::make_unique<dispatch::RuntimeBackend>(rt_, opts.fusionWindow);
@@ -69,7 +68,6 @@ Session::~Session()
     // thread holds no binding.
     SessionBinding flushScope(&dispatcher_, &ledger_);
     dispatcher_.detachBackend();
-    dispatcher_.detachLedger();
     backend_.reset();
     hwmodel::unpinActiveMachine();
 }

@@ -127,9 +127,8 @@ class Session
 
     /**
      * This session's cost ledger: every runtime post caused by a
-     * thread bound to this session, plus the dispatcher's zero-cost
-     * decision notes. ledger().total() is exactly this session's share
-     * of the runtime's aggregate accounting total.
+     * thread bound to this session. ledger().total() is exactly this
+     * session's share of the runtime's aggregate accounting total.
      */
     EnergyLedger &ledger() { return ledger_; }
     const EnergyLedger &ledger() const { return ledger_; }

@@ -9,6 +9,7 @@
 #include "apps/sar.hh"
 #include "apps/stap.hh"
 #include "common/logging.hh"
+#include "hwmodel/profile.hh"
 
 namespace mealib::apps {
 namespace {
@@ -33,6 +34,32 @@ TEST(Stap, HostAndMealibProduceIdenticalOutput)
     ASSERT_EQ(host.prods.size(), mea.prods.size());
     for (std::size_t i = 0; i < host.prods.size(); ++i)
         ASSERT_EQ(host.prods[i], mea.prods[i]) << "i=" << i;
+}
+
+TEST(Stap, ExplicitProfileRuntimePricesIdleFromItsOwnHost)
+{
+    // A runtime built from an explicit profile prices every stage,
+    // package idle included, from its own host: the run matches, bit
+    // for bit, one made with that profile active.
+    StapParams p = StapParams::smallSet();
+    runtime::RuntimeConfig explicitCfg(hwmodel::profile("xeonphi5110p"));
+    explicitCfg.backingBytes = 128_MiB;
+    runtime::MealibRuntime explicitRt(explicitCfg);
+    StapResult viaProfile = runStapMealib(p, explicitRt);
+
+    hwmodel::setActiveMachine("phi").orThrow();
+    runtime::RuntimeConfig activeCfg;
+    activeCfg.backingBytes = 128_MiB;
+    runtime::MealibRuntime activeRt(activeCfg);
+    StapResult viaActive = runStapMealib(p, activeRt);
+    hwmodel::setActiveMachine("haswell4770k").orThrow();
+
+    EXPECT_EQ(viaProfile.ledger.total().seconds,
+              viaActive.ledger.total().seconds);
+    EXPECT_EQ(viaProfile.ledger.total().joules,
+              viaActive.ledger.total().joules);
+    EXPECT_EQ(viaProfile.host.seconds, viaActive.host.seconds);
+    EXPECT_EQ(viaProfile.host.joules, viaActive.host.joules);
 }
 
 TEST(Stap, OutputIsNonTrivial)

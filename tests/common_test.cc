@@ -269,18 +269,6 @@ TEST(Ledger, CountersAndAccelAttributionNeverChangeTotal)
     EXPECT_EQ(l.counters().size(), 1u);
 }
 
-TEST(Ledger, NotesAreZeroCostEvents)
-{
-    EnergyLedger l;
-    l.note("dispatch/axpy/accel");
-    l.note("dispatch/axpy/accel");
-    EXPECT_DOUBLE_EQ(l.total().seconds, 0.0);
-    EXPECT_DOUBLE_EQ(l.total().joules, 0.0);
-    auto it = l.events().find("dispatch/axpy/accel");
-    ASSERT_NE(it, l.events().end());
-    EXPECT_EQ(it->second.count, 2u);
-}
-
 TEST(Ledger, GflopsPerWattUsesRunTotals)
 {
     EnergyLedger l;
@@ -316,7 +304,6 @@ TEST(Ledger, JsonCarriesMachineTracksAndComponents)
     EnergyLedger l;
     l.post("accel", {0.25, 1.5}, "execute");
     l.attribute("dram", 1.0);
-    l.note("dispatch/dot/host");
     l.attributeAccel("DOT", {0.25, 1.5});
     l.count("retries", 3);
     std::string j = l.toJson("haswell4770k");
@@ -327,7 +314,8 @@ TEST(Ledger, JsonCarriesMachineTracksAndComponents)
               std::string::npos);
     EXPECT_NE(j.find("\"accel\""), std::string::npos);
     EXPECT_NE(j.find("\"dram\": 1"), std::string::npos);
-    EXPECT_NE(j.find("\"dispatch/dot/host\""), std::string::npos);
+    EXPECT_NE(j.find("\"accel/execute\": {\"count\": 1"),
+              std::string::npos);
     EXPECT_NE(j.find("\"gflops_per_watt\""), std::string::npos);
 }
 

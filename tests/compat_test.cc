@@ -3,16 +3,53 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "dispatch/dispatcher.hh"
+#include "minimkl/blas1.hh"
+#include "minimkl/blas3.hh"
 #include "minimkl/compat.hh"
 
 namespace {
 
 using cfloat = std::complex<float>;
+using mealib::dispatch::Dispatcher;
+using mealib::dispatch::OpKind;
+
+/** Run @p shim; return the calls the global dispatcher counted under
+ * @p kind meanwhile. */
+template <typename Fn>
+std::uint64_t
+callsDuring(OpKind kind, Fn &&shim)
+{
+    const std::uint64_t before =
+        Dispatcher::global().snapshot().of(kind).calls;
+    shim();
+    return Dispatcher::global().snapshot().of(kind).calls - before;
+}
+
+/** @p n deterministic, distinct-enough values. */
+template <typename T>
+std::vector<T>
+ramp(std::size_t n, float scale)
+{
+    std::vector<T> v(n);
+    for (std::size_t i = 0; i < n; ++i)
+        v[i] = T(scale * (static_cast<float>(i % 7) - 3.0f) + 0.125f);
+    return v;
+}
+
+template <typename T>
+bool
+sameBytes(const std::vector<T> &a, const std::vector<T> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
 
 TEST(CblasShims, SaxpyAndSdot)
 {
@@ -69,6 +106,80 @@ TEST(CblasShims, CtrsmSolvesDiagonalSystem)
     EXPECT_FLOAT_EQ(b[1].real(), 2.0f);
     EXPECT_FLOAT_EQ(b[2].real(), 2.0f);
     EXPECT_FLOAT_EQ(b[3].real(), 4.0f);
+}
+
+// The shims below have no caller in the repo's apps: each must produce
+// the bytes of the mkl:: kernel it wraps (non-unit strides where the API
+// has them) and count one dispatch under its kind.
+
+TEST(CblasShims, CaxpyMatchesKernelAndCountsAxpy)
+{
+    const std::vector<cfloat> x = ramp<cfloat>(8, 0.5f);
+    std::vector<cfloat> y = ramp<cfloat>(12, -0.25f);
+    std::vector<cfloat> want = y;
+    const cfloat a{0.5f, -1.25f};
+    mealib::mkl::caxpy(4, a, x.data(), 2, want.data(), 3);
+    EXPECT_EQ(callsDuring(OpKind::Axpy, [&] {
+                  cblas_caxpy(4, &a, x.data(), 2, y.data(), 3);
+              }),
+              1u);
+    EXPECT_TRUE(sameBytes(y, want));
+}
+
+TEST(CblasShims, SaxpbyMatchesKernelAndCountsAxpy)
+{
+    const std::vector<float> x = ramp<float>(10, 0.5f);
+    std::vector<float> y = ramp<float>(15, -0.25f);
+    std::vector<float> want = y;
+    mealib::mkl::saxpby(5, 1.5f, x.data(), 2, 0.75f, want.data(), 3);
+    EXPECT_EQ(callsDuring(OpKind::Axpy, [&] {
+                  cblas_saxpby(5, 1.5f, x.data(), 2, 0.75f, y.data(), 3);
+              }),
+              1u);
+    EXPECT_TRUE(sameBytes(y, want));
+}
+
+TEST(CblasShims, ScopyMatchesKernelAndCountsCopy)
+{
+    const std::vector<float> x = ramp<float>(18, 0.5f);
+    std::vector<float> y(12, -7.0f);
+    std::vector<float> want = y;
+    mealib::mkl::scopy(6, x.data(), 3, want.data(), 2);
+    EXPECT_EQ(callsDuring(OpKind::Copy,
+                          [&] { cblas_scopy(6, x.data(), 3, y.data(), 2); }),
+              1u);
+    EXPECT_TRUE(sameBytes(y, want));
+}
+
+TEST(CblasShims, SgemmMatchesKernelAndCountsGemm)
+{
+    // 3x5 times 5x4 with every leading dimension padded past its row.
+    const std::vector<float> a = ramp<float>(3 * 7, 0.5f);
+    const std::vector<float> b = ramp<float>(5 * 5, -0.75f);
+    std::vector<float> c = ramp<float>(3 * 7, 0.25f);
+    std::vector<float> want = c;
+    mealib::mkl::sgemm(mealib::mkl::Order::RowMajor,
+                       mealib::mkl::Transpose::NoTrans,
+                       mealib::mkl::Transpose::NoTrans, 3, 4, 5, 0.5f,
+                       a.data(), 7, b.data(), 5, 0.25f, want.data(), 7);
+    EXPECT_EQ(callsDuring(OpKind::Gemm, [&] {
+                  cblas_sgemm(CblasRowMajor, CblasNoTrans, CblasNoTrans, 3,
+                              4, 5, 0.5f, a.data(), 7, b.data(), 5, 0.25f,
+                              c.data(), 7);
+              }),
+              1u);
+    EXPECT_TRUE(sameBytes(c, want));
+}
+
+TEST(CblasShims, SscalMatchesKernelAndCountsScal)
+{
+    std::vector<float> x = ramp<float>(10, 0.5f);
+    std::vector<float> want = x;
+    mealib::mkl::sscal(5, -1.5f, want.data(), 2);
+    EXPECT_EQ(callsDuring(OpKind::Scal,
+                          [&] { cblas_sscal(5, -1.5f, x.data(), 2); }),
+              1u);
+    EXPECT_TRUE(sameBytes(x, want));
 }
 
 TEST(MklShims, ScsrgemvOneBasedIndexing)

@@ -67,19 +67,23 @@ TEST(OpIr, RerunSafetyTracksOutputReads)
     // saxpy accumulates (y := ax + y): re-running after a partial
     // offload would double-apply.
     EXPECT_FALSE(
-        lowerSaxpy(16, 1.0f, x.data(), 1, y.data(), 1).rerunSafe);
+        rerunSafe(lowerSaxpy(16, 1.0f, x.data(), 1, y.data(), 1)));
     // saxpby with b == 0 is a pure write.
-    EXPECT_TRUE(
-        lowerSaxpby(16, 1.0f, x.data(), 1, 0.0f, y.data(), 1).rerunSafe);
+    EXPECT_TRUE(rerunSafe(
+        lowerSaxpby(16, 1.0f, x.data(), 1, 0.0f, y.data(), 1)));
+    // ... unless it runs in place: y := 3y overwrites the y a rerun
+    // reads, so a rerun after the accelerator wrote would give 9y.
+    EXPECT_FALSE(rerunSafe(
+        lowerSaxpby(16, 3.0f, y.data(), 1, 0.0f, y.data(), 1)));
     std::vector<float> a(16);
-    EXPECT_TRUE(lowerSgemv(mkl::Order::RowMajor, mkl::Transpose::NoTrans,
-                           4, 4, 1.0f, a.data(), 4, x.data(), 1, 0.0f,
-                           y.data(), 1)
-                    .rerunSafe);
-    EXPECT_FALSE(lowerSgemv(mkl::Order::RowMajor,
-                            mkl::Transpose::NoTrans, 4, 4, 1.0f, a.data(),
-                            4, x.data(), 1, 0.5f, y.data(), 1)
-                     .rerunSafe);
+    EXPECT_TRUE(rerunSafe(lowerSgemv(mkl::Order::RowMajor,
+                                     mkl::Transpose::NoTrans, 4, 4, 1.0f,
+                                     a.data(), 4, x.data(), 1, 0.0f,
+                                     y.data(), 1)));
+    EXPECT_FALSE(rerunSafe(lowerSgemv(mkl::Order::RowMajor,
+                                      mkl::Transpose::NoTrans, 4, 4, 1.0f,
+                                      a.data(), 4, x.data(), 1, 0.5f,
+                                      y.data(), 1)));
 }
 
 TEST(OpIr, ColumnMajorGemvStaysHostSide)
@@ -144,9 +148,8 @@ TEST(Policy, CrossoverReproducesTable2SplitAtPaperScale)
 
     // Compute-bounded calls at STAP scale: no accelerator exists, and
     // the cost model prices them host-side (+inf accelerator seconds).
-    OpDesc gemm = lowerSgemm(512, 512, 512, nullptr, nullptr, 0.0f,
-                             nullptr);
-    OpDesc herk = lowerCherk(256, 1024, nullptr, 0.0f, nullptr);
+    OpDesc gemm = lowerSgemm(512, 512, 512, nullptr, nullptr, nullptr);
+    OpDesc herk = lowerCherk(256, 1024, nullptr, nullptr);
     OpDesc trsm = lowerCtrsm(256, 256, nullptr, nullptr);
     EXPECT_EQ(policy.decide(gemm, &costs), Backend::Host);
     EXPECT_EQ(policy.decide(herk, &costs), Backend::Host);
@@ -301,12 +304,16 @@ TEST(Dispatcher, BackendErrorRerunsHostWhenSafe)
     // instead of double-applying.
     OpDesc unsafe = lowerSaxpy(2, 3.0f, x.data(), 1, y.data(), 1);
     EXPECT_THROW(disp.run(unsafe, [&] {}), MealibError);
+    // Nor may an in-place saxpby rerun: its input is the y the
+    // accelerator may already have overwritten.
+    OpDesc inPlace = lowerSaxpby(2, 3.0f, y.data(), 1, 0.0f, y.data(), 1);
+    EXPECT_THROW(disp.run(inPlace, [&] {}), MealibError);
     disp.detachBackend();
 
     DispatchStats s = disp.snapshot();
     EXPECT_EQ(s.of(OpKind::Axpy).fallbackBy[static_cast<std::size_t>(
                   FallbackReason::BackendError)],
-              2u);
+              3u);
 }
 
 TEST(Dispatcher, DeclineBeforeSubmissionFallsBackEvenWhenNotRerunSafe)
@@ -322,7 +329,7 @@ TEST(Dispatcher, DeclineBeforeSubmissionFallsBackEvenWhenNotRerunSafe)
 
     std::vector<float> x{1, 2}, y{10, 20};
     OpDesc d = lowerSaxpy(2, 3.0f, x.data(), 1, y.data(), 1);
-    ASSERT_FALSE(d.rerunSafe);
+    ASSERT_FALSE(rerunSafe(d));
     EXPECT_NO_THROW(disp.run(d, [&] { mkl::saxpy(2, 3.0f, x.data(), 1,
                                                  y.data(), 1); }));
     disp.detachBackend();

@@ -175,7 +175,7 @@ TEST(MultiStack, LastStackAllocatesItsFullSpan)
     EXPECT_EQ(rt.stackOf(rt.physOf(p)), 3u);
     EXPECT_EQ(rt.stackOf(rt.physOf(p) + span - 1), 3u);
     rt.memFree(p);
-    // Stack 0 gave up commandBytes, so the full span must not fit.
+    // Stack 0 gave up kCommandBytes, so the full span must not fit.
     EXPECT_THROW(rt.memAllocOn(0, span), MealibError);
 }
 

@@ -197,51 +197,6 @@ TEST(Eval, HostProfileRejectsAccelPlatforms)
                  FatalError);
 }
 
-TEST(Eval, ShardedEvaluationOverlapsAcrossStacks)
-{
-    // Fanning one looped workload out over 4 stacks must beat the
-    // single-stack makespan, while energy (which does not overlap
-    // away) stays in the same ballpark. Sharding splits the outermost
-    // LOOP dimension, so express the Table-2 AXPY as fine loop slices:
-    // each shard pays one flush over a single slice's footprint, which
-    // keeps the serialized host-track submit cost below the per-shard
-    // accelerator span (coarse slices make sharding counterproductive).
-    Workload w = table2Workload(AccelKind::AXPY, kScale);
-    w.call.n /= 1024;
-    w.loop.dims[0] = 1024;
-
-    runtime::RuntimeConfig one;
-    one.functional = false;
-    runtime::MealibRuntime rt1(one);
-    OpResult r1;
-    ASSERT_TRUE(evaluateOpSharded(w, rt1, &r1).ok());
-
-    runtime::RuntimeConfig four = one;
-    four.numStacks = 4;
-    runtime::MealibRuntime rt4(four);
-    OpResult r4;
-    ASSERT_TRUE(evaluateOpSharded(w, rt4, &r4).ok());
-
-    EXPECT_GT(r1.cost.seconds, 0.0);
-    EXPECT_LT(r4.cost.seconds, r1.cost.seconds);
-    EXPECT_GT(r4.cost.joules, 0.5 * r1.cost.joules);
-    EXPECT_LT(r4.cost.joules, 2.0 * r1.cost.joules);
-}
-
-TEST(Eval, ShardedEvaluationRequiresCostOnlyRuntime)
-{
-    // A functional runtime must be rejected with a recoverable error,
-    // not a fatal: callers probing configurations can fall back.
-    Workload w = table2Workload(AccelKind::AXPY, kScale);
-    runtime::MealibRuntime rt{runtime::RuntimeConfig{}}; // functional
-    OpResult r;
-    r.flops = -1.0;
-    Status st = evaluateOpSharded(w, rt, &r);
-    EXPECT_FALSE(st.ok());
-    EXPECT_EQ(st.code(), ErrorCode::InvalidArgument);
-    EXPECT_EQ(r.flops, -1.0) << "result must be untouched on error";
-}
-
 TEST(MachineSwitch, RuntimeDefaultsFollowActiveProfile)
 {
     runtime::RuntimeConfig hw_cfg;

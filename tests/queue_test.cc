@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "apps/stap.hh"
 #include "common/logging.hh"
 #include "runtime/runtime.hh"
 
@@ -549,54 +548,6 @@ TEST(Queue, InvalidEventIsFatal)
     EXPECT_THROW(e.wait(), FatalError);
     EXPECT_THROW(e.stack(), FatalError);
     EXPECT_THROW(e.finishSeconds(), FatalError);
-}
-
-// --- STAP async pipeline (acceptance criterion c) ----------------------
-
-TEST(Queue, StapAsyncCriticalPathBeatsSerialAndMatchesHost)
-{
-    apps::StapParams p = apps::StapParams::smallSet();
-    apps::StapResult host = apps::runStapHost(p);
-
-    RuntimeConfig cfg;
-    cfg.numStacks = 2;
-    MealibRuntime rt(cfg);
-    apps::StapResult async = apps::runStapMealibAsync(p, rt);
-
-    ASSERT_EQ(async.prods.size(), host.prods.size());
-    for (std::size_t i = 0; i < host.prods.size(); i += 101) {
-        ASSERT_NEAR(async.prods[i].real(), host.prods[i].real(), 1e-3f)
-            << "i=" << i;
-        ASSERT_NEAR(async.prods[i].imag(), host.prods[i].imag(), 1e-3f)
-            << "i=" << i;
-    }
-
-    EXPECT_EQ(async.descriptors, 3u); // 1 head + 2 slices
-    EXPECT_GT(async.criticalPathSeconds, 0.0);
-    EXPECT_LT(async.criticalPathSeconds, async.total().seconds);
-    // Both stacks did real work.
-    EXPECT_GT(rt.accounting().busyByStack.get("stack0"), 0.0);
-    EXPECT_GT(rt.accounting().busyByStack.get("stack1"), 0.0);
-}
-
-TEST(Queue, StapAsyncMatchesBlockingPipelineOutput)
-{
-    apps::StapParams p = apps::StapParams::smallSet();
-
-    RuntimeConfig cfg1;
-    MealibRuntime rt1(cfg1); // single stack: degenerates to 1 slice
-    apps::StapResult sync = apps::runStapMealib(p, rt1);
-
-    RuntimeConfig cfg2;
-    cfg2.numStacks = 4;
-    MealibRuntime rt2(cfg2);
-    apps::StapResult async = apps::runStapMealibAsync(p, rt2);
-
-    ASSERT_EQ(async.prods.size(), sync.prods.size());
-    for (std::size_t i = 0; i < sync.prods.size(); i += 103) {
-        ASSERT_FLOAT_EQ(async.prods[i].real(), sync.prods[i].real());
-        ASSERT_FLOAT_EQ(async.prods[i].imag(), sync.prods[i].imag());
-    }
 }
 
 } // namespace

@@ -50,15 +50,10 @@ TEST(RuntimeConfig, ValidationRejectsInconsistentConfigs)
     EXPECT_EQ(no_arena.validate().code(), ErrorCode::InvalidArgument);
     EXPECT_THROW(MealibRuntime{no_arena}, MealibError);
 
-    RuntimeConfig no_cmd = smallConfig();
-    no_cmd.commandBytes = 0;
-    EXPECT_EQ(no_cmd.validate().code(), ErrorCode::InvalidArgument);
-    EXPECT_THROW(MealibRuntime{no_cmd}, MealibError);
-
     // Command space must leave room in stack 0's share of the arena.
     RuntimeConfig swallowed = smallConfig();
     swallowed.numStacks = 4;
-    swallowed.commandBytes = swallowed.backingBytes / 4;
+    swallowed.backingBytes = 4 * kCommandBytes;
     EXPECT_EQ(swallowed.validate().code(), ErrorCode::InvalidArgument);
     EXPECT_THROW(MealibRuntime{swallowed}, MealibError);
 

@@ -411,9 +411,6 @@ runDispatched(runtime::MealibRuntime &rt,
     disp.setCostModel(costs);
     dispatch::RuntimeBackend backend(rt, fusionWindow);
     disp.attachBackend(&backend);
-    // Decisions land in the runtime's ledger as zero-cost notes, so the
-    // --energy-json record shows where every call went.
-    disp.attachLedger(&rt.ledger());
 
     struct Unit
     {
@@ -508,7 +505,6 @@ runDispatched(runtime::MealibRuntime &rt,
                     jsonPath.c_str());
     }
     writeEnergyJson(rt, energyJsonPath);
-    disp.detachLedger();
     disp.detachBackend();
     return 0;
 }
