@@ -18,6 +18,7 @@
 #include "accel/model.hh"
 #include "bench_util.hh"
 #include "dram/params.hh"
+#include "hwmodel/profile.hh"
 #include "mealib/platform.hh"
 #include "noc/mesh.hh"
 #include "runtime/runtime.hh"
@@ -41,8 +42,8 @@ main()
     for (std::uint64_t lm : {16u, 32u, 64u, 128u, 256u}) {
         accel::AccelConfig cfg = accel::defaultConfig(AccelKind::SPMV);
         cfg.localMemKiB = lm;
-        accel::AccelModel m(AccelKind::SPMV, cfg, dram::hmcStack(),
-                            noc::mealibMesh());
+        accel::AccelModel m(AccelKind::SPMV, cfg, hwmodel::hmcStackParams(),
+                            hwmodel::mealibMeshParams());
         accel::AccelEstimate e = m.estimate(spmv.call, spmv.loop);
         double resident =
             std::min(1.0, static_cast<double>(cfg.tiles * lm * 1024) /
@@ -64,7 +65,8 @@ main()
         fft.complexData = true;
         accel::AccelModel m(AccelKind::FFT,
                             accel::defaultConfig(AccelKind::FFT),
-                            dram::hmcStack(), noc::mealibMesh());
+                            hwmodel::hmcStackParams(),
+                            hwmodel::mealibMeshParams());
         accel::AccelEstimate e = m.estimate(fft);
         double footprint = static_cast<double>(fft.n) * 8;
         int passes = static_cast<int>(e.bytes / (2.0 * footprint) + 0.5);
@@ -83,8 +85,8 @@ main()
         accel::AccelConfig cfg = accel::defaultConfig(AccelKind::SPMV);
         cfg.coresPerTile = c;
         cfg.localMemKiB = 32; // force a miss-heavy regime
-        accel::AccelModel m(AccelKind::SPMV, cfg, dram::hmcStack(),
-                            noc::mealibMesh());
+        accel::AccelModel m(AccelKind::SPMV, cfg, hwmodel::hmcStackParams(),
+                            hwmodel::mealibMeshParams());
         accel::AccelEstimate e = m.estimate(spmv.call, spmv.loop);
         t3.row({std::to_string(c), bench::fmt("%.1f", e.gflops()),
                 bench::fmt("%.2f", e.powerW()),

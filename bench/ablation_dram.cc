@@ -17,6 +17,7 @@
 #include "dram/stack.hh"
 #include "dram/tracegen.hh"
 #include "dram/vault.hh"
+#include "hwmodel/profile.hh"
 
 using namespace mealib;
 using namespace mealib::dram;
@@ -69,7 +70,7 @@ main()
                   "scheduler window, page policy, refresh overhead "
                   "(design-space support for Secs. 2.1/4.2)");
 
-    DramParams p = hmcStack();
+    DramParams p = hwmodel::hmcStackParams();
 
     std::printf("(1) FR-FCFS lookahead window, bank-conflict trace\n");
     bench::Table t1({"window", "GB/s", "row hit rate"});
@@ -107,7 +108,7 @@ main()
     std::printf("(3) refresh overhead\n");
     bench::Table t3({"device", "with refresh (GB/s)", "without (GB/s)",
                      "overhead"});
-    for (auto dev : {hmcStack(), ddr3(2)}) {
+    for (auto dev : {hwmodel::hmcStackParams(), hwmodel::ddr3Params(2)}) {
         DramParams no_ref = dev;
         no_ref.timing.tREFI = 0;
         Stack with(dev), without(no_ref);

@@ -22,6 +22,7 @@
 #include "common/cli.hh"
 #include "common/rng.hh"
 #include "host/cpu.hh"
+#include "hwmodel/profile.hh"
 #include "mealib/platform.hh"
 #include "minimkl/fft.hh"
 #include "minimkl/naive.hh"
@@ -46,7 +47,7 @@ void
 modeledRow(bench::Table &t, const char *name, AccelKind kind,
            double scale)
 {
-    host::CpuModel cpu(host::haswell4770k());
+    host::CpuModel cpu(hwmodel::haswell4770kParams());
     eval::Workload w = eval::table2Workload(kind, scale);
 
     // Original: scalar loops, one thread, cache-hostile access. A

@@ -19,6 +19,7 @@
 #include "common/cli.hh"
 #include "common/units.hh"
 #include "dram/params.hh"
+#include "hwmodel/profile.hh"
 #include "mealib/platform.hh"
 #include "noc/mesh.hh"
 
@@ -53,8 +54,8 @@ sweep(AccelKind kind, const eval::Workload &w)
                 cfg.freq = f;
                 cfg.coresPerTile = c;
                 cfg.localMemKiB = lm;
-                accel::AccelModel model(kind, cfg, dram::hmcStack(),
-                                        noc::mealibMesh());
+                accel::AccelModel model(kind, cfg, hwmodel::hmcStackParams(),
+                                        hwmodel::mealibMeshParams());
                 accel::AccelEstimate e = model.estimate(w.call, w.loop);
                 double eff = e.gflopsPerW();
                 range.minEff = std::min(range.minEff, eff);

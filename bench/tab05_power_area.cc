@@ -71,8 +71,8 @@ main(int argc, char **argv)
     const double paper_area[] = {1.38, 1.81, 2.45, 14.17,
                                  2.64, 16.13, 0.0};
 
-    noc::Mesh mesh(noc::mealibMesh());
-    dram::DramParams stack = dram::hmcStack();
+    noc::Mesh mesh(hwmodel::mealibMeshParams());
+    dram::DramParams stack = hwmodel::hmcStackParams();
 
     bench::TimingConfig timing;
     if (quick) {
@@ -93,7 +93,7 @@ main(int argc, char **argv)
     int i = 0;
     for (AccelKind k : kinds) {
         accel::AccelConfig cfg = accel::defaultConfig(k);
-        accel::AccelModel model(k, cfg, stack, noc::mealibMesh());
+        accel::AccelModel model(k, cfg, stack, hwmodel::mealibMeshParams());
         // Run the accelerator's Table-2 workload to obtain its average
         // power at full memory utilization (logic + DRAM). The scale is
         // pinned at 1/16 — the power estimate is what --check gates on.

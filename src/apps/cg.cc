@@ -4,8 +4,10 @@
 #include <cstring>
 
 #include "common/logging.hh"
-#include "dispatch/ops.hh"
+#include "dispatch/dispatcher.hh"
+#include "dispatch/opdesc.hh"
 #include "minimkl/blas1.hh"
+#include "minimkl/compat.hh"
 
 namespace mealib::apps {
 
@@ -43,7 +45,7 @@ solveCgHost(const mkl::CsrMatrix &a, const std::vector<float> &b,
     fatalIf(a.rows != a.cols, "cg: matrix must be square");
     fatalIf(static_cast<std::int64_t>(b.size()) != a.rows,
             "cg: rhs size mismatch");
-    const std::int64_t n = a.rows;
+    const int n = static_cast<int>(a.rows);
 
     CgResult res;
     res.x.assign(b.size(), 0.0f);
@@ -51,22 +53,26 @@ solveCgHost(const mkl::CsrMatrix &a, const std::vector<float> &b,
     std::vector<float> p = r;
     std::vector<float> ap(b.size());
 
-    double bnorm = std::sqrt(static_cast<double>(
-        dispatch::ops::sdot(n, b.data(), 1, b.data(), 1)));
+    double bnorm = std::sqrt(
+        static_cast<double>(cblas_sdot(n, b.data(), 1, b.data(), 1)));
     if (bnorm == 0.0) {
         res.converged = true;
         return res;
     }
-    double rs = dispatch::ops::sdot(n, r.data(), 1, r.data(), 1);
+    double rs = cblas_sdot(n, r.data(), 1, r.data(), 1);
 
     for (unsigned it = 0; it < opts.maxIterations; ++it) {
-        dispatch::ops::scsrmv(a, p.data(), ap.data());
-        double pap = dispatch::ops::sdot(n, p.data(), 1, ap.data(), 1);
+        // No MKL signature takes int64 CSR row pointers, so the SpMV
+        // dispatches here rather than through a shim.
+        dispatch::currentDispatcher().run(
+            dispatch::lowerScsrmv(a, p.data(), ap.data()),
+            [&] { mkl::scsrmv(a, p.data(), ap.data()); });
+        double pap = cblas_sdot(n, p.data(), 1, ap.data(), 1);
         fatalIf(pap <= 0.0, "cg: matrix is not positive definite");
         float alpha = static_cast<float>(rs / pap);
-        dispatch::ops::saxpy(n, alpha, p.data(), 1, res.x.data(), 1);
-        dispatch::ops::saxpy(n, -alpha, ap.data(), 1, r.data(), 1);
-        double rs_new = dispatch::ops::sdot(n, r.data(), 1, r.data(), 1);
+        cblas_saxpy(n, alpha, p.data(), 1, res.x.data(), 1);
+        cblas_saxpy(n, -alpha, ap.data(), 1, r.data(), 1);
+        double rs_new = cblas_sdot(n, r.data(), 1, r.data(), 1);
         res.iterations = it + 1;
         if (std::sqrt(rs_new) <= opts.tolerance * bnorm) {
             res.converged = true;
@@ -75,7 +81,7 @@ solveCgHost(const mkl::CsrMatrix &a, const std::vector<float> &b,
         }
         float beta = static_cast<float>(rs_new / rs);
         // p := r + beta * p
-        dispatch::ops::saxpby(n, 1.0f, r.data(), 1, beta, p.data(), 1);
+        cblas_saxpby(n, 1.0f, r.data(), 1, beta, p.data(), 1);
         rs = rs_new;
     }
     res.residualNorm = std::sqrt(rs);

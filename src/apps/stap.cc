@@ -6,12 +6,9 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "dispatch/models.hh"
-#include "dispatch/ops.hh"
 #include "hwmodel/profile.hh"
-#include "minimkl/blas1.hh"
-#include "minimkl/blas3.hh"
+#include "minimkl/compat.hh"
 #include "minimkl/fft.hh"
-#include "minimkl/transpose.hh"
 
 namespace mealib::apps {
 
@@ -175,6 +172,7 @@ computeWeights(const StapParams &p, const cfloat *snap, cfloat *weights)
     const std::vector<cfloat> v = steeringMatrix(p);
     std::vector<cfloat> r(static_cast<std::size_t>(l) * l);
     std::vector<cfloat> y(static_cast<std::size_t>(l) * p.nSteering);
+    const cfloat one{1.0f, 0.0f};
     std::uint64_t calls = 0;
 
     for (unsigned dop = 0; dop < p.nDop; ++dop) {
@@ -186,9 +184,8 @@ computeWeights(const StapParams &p, const cfloat *snap, cfloat *weights)
                     l;
             // R = A^H A over the training block (A is tbs x l).
             std::fill(r.begin(), r.end(), cfloat{});
-            dispatch::ops::cherk(mkl::Order::RowMajor, mkl::Uplo::Lower,
-                                 mkl::Transpose::ConjTrans, l, p.tbs,
-                                 1.0f, a, l, 0.0f, r.data(), l);
+            cblas_cherk(CblasRowMajor, CblasLower, CblasConjTrans, l,
+                        p.tbs, 1.0f, a, l, 0.0f, r.data(), l);
             calls++;
             // Diagonal loading keeps the factorization well posed.
             for (unsigned d = 0; d < l; ++d)
@@ -198,17 +195,12 @@ computeWeights(const StapParams &p, const cfloat *snap, cfloat *weights)
 
             // Solve R w = v via L y = v, then L^H w = y.
             std::copy(v.begin(), v.end(), y.begin());
-            dispatch::ops::ctrsm(mkl::Order::RowMajor, mkl::Side::Left,
-                                 mkl::Uplo::Lower, mkl::Transpose::NoTrans,
-                                 mkl::Diag::NonUnit, l, p.nSteering,
-                                 {1.0f, 0.0f}, r.data(), l, y.data(),
-                                 p.nSteering);
-            dispatch::ops::ctrsm(mkl::Order::RowMajor, mkl::Side::Left,
-                                 mkl::Uplo::Lower,
-                                 mkl::Transpose::ConjTrans,
-                                 mkl::Diag::NonUnit, l, p.nSteering,
-                                 {1.0f, 0.0f}, r.data(), l, y.data(),
-                                 p.nSteering);
+            cblas_ctrsm(CblasRowMajor, CblasLeft, CblasLower,
+                        CblasNoTrans, CblasNonUnit, l, p.nSteering, &one,
+                        r.data(), l, y.data(), p.nSteering);
+            cblas_ctrsm(CblasRowMajor, CblasLeft, CblasLower,
+                        CblasConjTrans, CblasNonUnit, l, p.nSteering, &one,
+                        r.data(), l, y.data(), p.nSteering);
             calls += 2;
 
             // Repack column sv of y into the [sv][dof] weight layout.
@@ -356,21 +348,21 @@ runStapHost(const StapParams &p)
     host::CpuModel cpu(machine.cpu);
     const unsigned l = p.dofLen();
 
-    // --- functional pipeline through MiniMKL (the legacy code path) ---
+    // --- functional pipeline through the MKL-signature shims (the
+    // legacy code path) ---
     std::vector<cfloat> cube = generateCube(p);
     std::vector<cfloat> mid(cube.size());
     std::vector<cfloat> doppler(cube.size());
+    const std::size_t chan_elems =
+        static_cast<std::size_t>(p.nDop) * p.nRange();
     for (unsigned ch = 0; ch < p.nChan; ++ch) {
-        dispatch::ops::comatcopy(
-                       mkl::Order::RowMajor, mkl::Transpose::Trans,
-                       p.nDop, p.nRange(), {1.0f, 0.0f},
-                       cube.data() +
-                           static_cast<std::size_t>(ch) * p.nDop *
-                               p.nRange(),
-                       p.nRange(),
-                       mid.data() + static_cast<std::size_t>(ch) *
-                                        p.nDop * p.nRange(),
-                       p.nDop);
+        mkl_comatcopy(
+            'R', 'T', p.nDop, p.nRange(), {1.0f, 0.0f},
+            reinterpret_cast<const MKL_Complex8 *>(cube.data() +
+                                                   ch * chan_elems),
+            p.nRange(),
+            reinterpret_cast<MKL_Complex8 *>(mid.data() + ch * chan_elems),
+            p.nDop);
     }
     mkl::FftPlan::dft1dBatched(p.nDop,
                                static_cast<std::int64_t>(p.nChan) *
@@ -404,18 +396,21 @@ runStapHost(const StapParams &p)
                              p.tbs +
                          c) *
                             l;
-                    prods[((static_cast<std::size_t>(dop) * p.nBlocks +
-                            b) *
-                               p.nSteering +
-                           s) *
-                              p.tbs +
-                          c] = dispatch::ops::cdotc(l, w, 1, x, 1);
+                    cblas_cdotc_sub(
+                        l, w, 1, x, 1,
+                        &prods[((static_cast<std::size_t>(dop) *
+                                     p.nBlocks +
+                                 b) *
+                                    p.nSteering +
+                                s) *
+                                   p.tbs +
+                               c]);
                 }
 
     res.prods.assign(prods.size(), cfloat{});
-    dispatch::ops::caxpy(static_cast<std::int64_t>(prods.size()),
-                         {1.0f / static_cast<float>(p.tbs), 0.0f},
-                         prods.data(), 1, res.prods.data(), 1);
+    const cfloat scale{1.0f / static_cast<float>(p.tbs), 0.0f};
+    cblas_caxpy(static_cast<int>(prods.size()), &scale, prods.data(), 1,
+                res.prods.data(), 1);
 
     // --- cost model: every stage runs on the host --------------------
     StapCalls calls = buildCalls(p, 0, 0, 0, 0, 0, 0, 0);

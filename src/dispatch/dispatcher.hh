@@ -107,8 +107,8 @@ class Dispatcher
 
     /**
      * The default-session dispatcher: used by the MKL-compatible layer
-     * and dispatch::ops whenever the calling thread has no dispatcher
-     * bound (see currentDispatcher()). Policy from
+     * whenever the calling thread has no dispatcher bound (see
+     * currentDispatcher()). Policy from
      * MEALIB_OFFLOAD_POLICY (read once, at first use),
      * RooflineCostModel attached, no backend. A function-local static
      * object, so it is destroyed cleanly at exit (no LSan leak).
@@ -128,10 +128,10 @@ class Dispatcher
 /**
  * Bind @p dispatcher as the calling thread's current dispatcher and
  * return the previous binding (null if none). Passing null unbinds.
- * The MKL-compatible shims and dispatch::ops route through
- * currentDispatcher(), so a thread bound to a session's dispatcher
- * routes unmodified legacy calls to that session; unbound threads keep
- * using Dispatcher::global() — exactly the legacy behaviour.
+ * The MKL-compatible shims route through currentDispatcher(), so a
+ * thread bound to a session's dispatcher routes unmodified legacy calls
+ * to that session; unbound threads keep using Dispatcher::global() —
+ * exactly the legacy behaviour.
  * `mealib::Session::bind()` wraps this in an RAII guard.
  */
 Dispatcher *bindCurrentDispatcher(Dispatcher *dispatcher);

@@ -290,7 +290,9 @@ lowerTranspose(std::int64_t rows, std::int64_t cols, float alpha,
     const bool inPlace = static_cast<const void *>(a) == b;
     OpDesc d;
     d.kind = OpKind::Transpose;
-    d.entry = inPlace ? "mkl_simatcopy" : "mkl_somatcopy";
+    d.entry = inPlace       ? "mkl_simatcopy"
+              : complexData ? "mkl_comatcopy"
+                            : "mkl_somatcopy";
     d.call.kind = AccelKind::RESHP;
     d.call.m = rows > 0 ? static_cast<std::uint64_t>(rows) : 0;
     d.call.n = cols > 0 ? static_cast<std::uint64_t>(cols) : 0;

@@ -3,8 +3,8 @@
  * The unified op-IR of the dispatch core (docs/DISPATCH.md).
  *
  * Every MKL-compatible entry point — the cblas_* / mkl_* / fftwf_*
- * shims in minimkl/compat.cc, the dispatch::ops wrappers the apps call,
- * and the COMP blocks mealib-run executes — lowers into one OpDesc: the
+ * shims in minimkl/compat.cc (which the apps call) and the COMP blocks
+ * mealib-run executes — lowers into one OpDesc: the
  * operation kind, its dimensions and strides (an accel::OpCall for the
  * Table-1 accelerable kinds), host-side operand pointers and footprints,
  * derived flop/byte counts, and the provenance string of the legacy
@@ -41,7 +41,7 @@ enum class OpKind : std::uint8_t
     Spmv,      //!< mkl_scsrgemv / mkl::scsrmv
     Resample,  //!< dfsInterpolate1D
     Fft,       //!< fftwf_execute
-    Transpose, //!< mkl_simatcopy / mkl_somatcopy
+    Transpose, //!< mkl_simatcopy / mkl_somatcopy / mkl_comatcopy
     Gemm,      //!< cblas_sgemm (host-only)
     Herk,      //!< cblas_cherk (host-only)
     Trsm,      //!< cblas_ctrsm (host-only)

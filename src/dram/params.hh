@@ -34,6 +34,8 @@ struct TimingParams
     std::uint64_t burstBytes = 0; //!< bytes transferred per burst
     Cycles tREFI = 0;        //!< refresh interval (0 = refresh ignored)
     Cycles tRFC = 0;         //!< refresh cycle time (vault blocked)
+
+    bool operator==(const TimingParams &) const = default;
 };
 
 /** Energy model parameters (CACTI-3DD-style). */
@@ -45,6 +47,8 @@ struct EnergyParams
     double tsvJPerByte = 0.0;   //!< TSV (or channel I/O) energy per byte
     double backgroundWPerVault = 0.0; //!< standby power per vault
     double refreshJPerVault = 0.0;    //!< energy of one all-bank refresh
+
+    bool operator==(const EnergyParams &) const = default;
 };
 
 /** Organization of one stack (or channel group). */
@@ -56,6 +60,8 @@ struct OrgParams
     std::uint64_t interleaveBytes = 0; //!< vault-interleaving granularity
     std::uint64_t capacityBytes = 0;   //!< total capacity
     double linkBandwidth = 0.0;   //!< external (host-visible) bandwidth, B/s
+
+    bool operator==(const OrgParams &) const = default;
 };
 
 /** Complete description of one DRAM device. */
@@ -66,6 +72,8 @@ struct DramParams
     EnergyParams energy;
     OrgParams org;
 
+    bool operator==(const DramParams &) const = default;
+
     /** Peak internal data bandwidth across all vaults, bytes/second. */
     double
     peakInternalBandwidth() const
@@ -75,19 +83,6 @@ struct DramParams
         return per_vault * org.numVaults;
     }
 };
-
-/**
- * HMC-like 3D stack: 32 vaults, 510 GB/s aggregate internal bandwidth
- * (Table 3), 8 banks per vault, 256 B row buffers, 4 GiB capacity.
- */
-DramParams hmcStack();
-
-/**
- * DDR3-1600-like channel group. @p channels scales the configuration:
- * 2 channels = 25.6 GB/s (the Haswell host and PSAS substrate), 8 channels
- * = 102.4 GB/s (the MSAS substrate of Table 3).
- */
-DramParams ddr3(unsigned channels);
 
 /**
  * DRAM-logic-layer additions of MEALib (Sec. 5.2): the (de)multiplexers on

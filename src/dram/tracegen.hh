@@ -14,7 +14,6 @@
 #define MEALIB_DRAM_TRACEGEN_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -23,17 +22,6 @@
 #include "dram/request.hh"
 
 namespace mealib::dram {
-
-/**
- * Serialize a trace to the simulator's text exchange format (one
- * request per line: `R|W <addr> <bytes>`, with a `# sampled/total`
- * header). The paper's methodology (Fig. 8) passes accelerator traces
- * into the DRAM simulator as files; this is that interface.
- */
-std::string writeTrace(const Trace &trace);
-
-/** Parse a trace written by writeTrace(); fatal() on malformed input. */
-Trace readTrace(const std::string &text);
 
 /** Builds sampled, interleaved request traces from stream descriptions. */
 class TraceBuilder

@@ -4,25 +4,8 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "hwmodel/profile.hh"
 
 namespace mealib::host {
-
-// The Table 3 parameter values live in the hardware-model registry
-// (src/hwmodel/presets.cc); these factories remain as the module-local
-// spelling.
-
-CpuParams
-haswell4770k()
-{
-    return hwmodel::haswell4770kParams();
-}
-
-CpuParams
-xeonPhi5110p()
-{
-    return hwmodel::xeonPhi5110pParams();
-}
 
 CpuModel::CpuModel(const CpuParams &params) : params_(params)
 {

@@ -55,6 +55,8 @@ struct CpuParams
     std::uint64_t llcBytes = 0;   //!< last-level cache capacity
     dram::DramParams dram;        //!< attached memory (for energy)
 
+    bool operator==(const CpuParams &) const = default;
+
     /** Peak single-precision throughput, flop/s. */
     double
     peakFlops() const
@@ -62,12 +64,6 @@ struct CpuParams
         return static_cast<double>(cores) * freq * flopsPerCycle;
     }
 };
-
-/** Haswell i7-4770K as configured in Table 3 (112 GFLOPS, 25.6 GB/s). */
-CpuParams haswell4770k();
-
-/** Xeon Phi 5110P as configured in Table 3 (60 cores, 320 GB/s). */
-CpuParams xeonPhi5110p();
 
 /** Roofline + power model for a host processor. */
 class CpuModel

@@ -12,11 +12,11 @@
  * MEALIB_MACHINE environment variable or `mealib-run --machine`, and
  * defaults to the Haswell machine — the paper's baseline.
  *
- * The legacy per-module preset factories (dram::hmcStack(),
- * host::haswell4770k(), noc::mealibMesh(), accel::defaultConfig()/
- * synthesis()) forward here, so the constants exist exactly once; the
- * model layers keep consuming plain parameter structs and stay
- * registry-agnostic.
+ * The preset builders at the end of this header are the one spelling
+ * of each parameter struct (accel::defaultConfig()/synthesis() forward
+ * to the accelerator ones), so the constants exist exactly once; the
+ * model layers consume plain parameter structs and do not link the
+ * registry.
  */
 
 #ifndef MEALIB_HWMODEL_PROFILE_HH
@@ -142,13 +142,20 @@ int activeMachinePins();
 
 // --- preset parameter builders (the constants themselves) --------------
 
-/** HMC-like 3D stack of Table 3 (32 vaults, 510 GB/s internal). */
+/**
+ * HMC-like 3D stack: 32 vaults, 510 GB/s aggregate internal bandwidth
+ * (Table 3), 8 banks per vault, 256 B row buffers, 4 GiB capacity.
+ */
 dram::DramParams hmcStackParams();
 
-/** DDR3-1600-like channel group (2 = Haswell/PSAS, 8 = MSAS). */
+/**
+ * DDR3-1600-like channel group. @p channels scales the configuration:
+ * 2 channels = 25.6 GB/s (the Haswell host and PSAS substrate), 8
+ * channels = 102.4 GB/s (the MSAS substrate of Table 3).
+ */
 dram::DramParams ddr3Params(unsigned channels);
 
-/** The 8x4 accelerator-layer mesh behind the Table 5 NoC row. */
+/** The 8x4 (32-tile) accelerator-layer mesh behind the Table 5 NoC row. */
 noc::MeshParams mealibMeshParams();
 
 /** Haswell i7-4770K as configured in Table 3 (112 GFLOPS, 25.6 GB/s). */

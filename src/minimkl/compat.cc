@@ -253,6 +253,29 @@ mkl_somatcopy(char ordering, char trans, std::size_t rows,
     });
 }
 
+void
+mkl_comatcopy(char ordering, char trans, std::size_t rows,
+              std::size_t cols, MKL_Complex8 alpha, const MKL_Complex8 *a,
+              std::size_t lda, MKL_Complex8 *b, std::size_t ldb)
+{
+    mealib::fatalIf(trans == 'R' || trans == 'r',
+                    "mkl_comatcopy: conjugate-only 'R' is not supported");
+    const auto r = static_cast<std::int64_t>(rows);
+    const auto c = static_cast<std::int64_t>(cols);
+    // The RESHP accelerator's functional path is the in-place real
+    // transpose; out-of-place complex copies stay host-side, so the
+    // mapping is unavailable while the decision stays honest.
+    run(dsp::lowerTranspose(r, c, alpha.real,
+                            reinterpret_cast<const float *>(a),
+                            reinterpret_cast<float *>(b), true, false),
+        [&] {
+            mkl::comatcopy(charOrder(ordering), charTrans(trans), r, c,
+                           {alpha.real, alpha.imag}, cf(a),
+                           static_cast<std::int64_t>(lda), cf(b),
+                           static_cast<std::int64_t>(ldb));
+        });
+}
+
 int
 dfsInterpolate1D(const float *x, int nx, float *site, int nsite)
 {

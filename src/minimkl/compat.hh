@@ -1,15 +1,17 @@
 /**
  * @file
  * Legacy-interface shims: the exact MKL / CBLAS / FFTW entry points the
- * paper's target applications call (Table 1 and Listing 1), implemented
- * over MiniMKL. These live in the global namespace on purpose — the
- * point of MEALib is that legacy code keeps compiling against the same
- * API — and are exercised by the legacy-port example and the
- * source-to-source compiler tests.
+ * paper's target applications call (Table 1, Table 4 and Listing 1),
+ * implemented over MiniMKL. These live in the global namespace on
+ * purpose — the point of MEALib is that legacy code keeps compiling
+ * against the same API — and they are the apps' entry points: the
+ * STAP and CG host paths (src/apps) call these shims. Every shim lowers
+ * into an OpDesc and runs through the calling thread's current
+ * dispatcher.
  *
- * Only the subset the paper uses is provided; MEALib treats the library
- * interface as fixed, so a small surface is the design point, not a
- * limitation.
+ * The surface is the subset the paper's applications call; MEALib
+ * treats the library interface as fixed, so a small surface is the
+ * design point, not a limitation.
  */
 
 #ifndef MEALIB_MINIMKL_COMPAT_HH
@@ -103,6 +105,22 @@ void mkl_simatcopy(char ordering, char trans, std::size_t rows,
 void mkl_somatcopy(char ordering, char trans, std::size_t rows,
                    std::size_t cols, float alpha, const float *a,
                    std::size_t lda, float *b, std::size_t ldb);
+
+/** Single-precision complex, laid out as in MKL's mkl_types.h. */
+struct MKL_Complex8
+{
+    float real;
+    float imag;
+};
+
+/**
+ * Out-of-place complex scaled transpose (mkl_comatcopy): @p trans is
+ * 'N', 'T' or 'C'; the conjugate-only 'R' is not supported.
+ */
+void mkl_comatcopy(char ordering, char trans, std::size_t rows,
+                   std::size_t cols, MKL_Complex8 alpha,
+                   const MKL_Complex8 *a, std::size_t lda,
+                   MKL_Complex8 *b, std::size_t ldb);
 
 // --- MKL data fitting (simplified dfsInterpolate1D) -------------------------
 

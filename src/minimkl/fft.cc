@@ -78,18 +78,6 @@ FftPlan::dft2d(std::int64_t rows, std::int64_t cols, FftDirection dir)
     return FftPlan({{rows, cols, cols}, {cols, 1, 1}}, {}, dir);
 }
 
-double
-FftPlan::flopEstimate() const
-{
-    if (isCopy())
-        return 0.0;
-    double n = static_cast<double>(points_);
-    double lg = 0.0;
-    for (const FftDim &d : dims_)
-        lg += static_cast<double>(log2i(d.n));
-    return 5.0 * n * lg * static_cast<double>(batch_);
-}
-
 void
 FftPlan::kernel(cfloat *x, cfloat *y, std::int64_t n) const
 {
@@ -206,67 +194,6 @@ fftNormalize(cfloat *buf, std::int64_t count, std::int64_t n)
     const float s = 1.0f / static_cast<float>(n);
     for (std::int64_t i = 0; i < count; ++i)
         buf[i] *= s;
-}
-
-void
-rfft(const float *in, std::int64_t n, cfloat *out)
-{
-    fatalIf(n < 2 || (n & (n - 1)) != 0,
-            "rfft: n must be a power of two >= 2");
-    const std::int64_t m = n / 2;
-
-    // Pack adjacent real samples into complex points and transform at
-    // half size, then untangle the even/odd spectra.
-    std::vector<cfloat> z(static_cast<std::size_t>(m));
-    for (std::int64_t k = 0; k < m; ++k)
-        z[static_cast<std::size_t>(k)] = {in[2 * k], in[2 * k + 1]};
-    std::vector<cfloat> big(static_cast<std::size_t>(m));
-    FftPlan::dft1d(m, FftDirection::Forward).execute(z.data(),
-                                                     big.data());
-
-    for (std::int64_t k = 0; k <= m; ++k) {
-        cfloat zk = big[static_cast<std::size_t>(k % m)];
-        cfloat zmk = std::conj(big[static_cast<std::size_t>(
-            (m - k) % m)]);
-        cfloat even = 0.5f * (zk + zmk);
-        cfloat odd = cfloat{0.0f, -0.5f} * (zk - zmk);
-        double a = -2.0 * M_PI * static_cast<double>(k) /
-                   static_cast<double>(n);
-        cfloat w{static_cast<float>(std::cos(a)),
-                 static_cast<float>(std::sin(a))};
-        out[k] = even + w * odd;
-    }
-}
-
-void
-irfft(const cfloat *in, std::int64_t n, float *out)
-{
-    fatalIf(n < 2 || (n & (n - 1)) != 0,
-            "irfft: n must be a power of two >= 2");
-    const std::int64_t m = n / 2;
-
-    // Re-tangle the half spectra and invert at half size.
-    std::vector<cfloat> z(static_cast<std::size_t>(m));
-    for (std::int64_t k = 0; k < m; ++k) {
-        cfloat xk = in[k];
-        cfloat xmk = std::conj(in[m - k]);
-        cfloat even = 0.5f * (xk + xmk);
-        double a = 2.0 * M_PI * static_cast<double>(k) /
-                   static_cast<double>(n);
-        cfloat w{static_cast<float>(std::cos(a)),
-                 static_cast<float>(std::sin(a))};
-        cfloat odd = w * (0.5f * (xk - xmk));
-        z[static_cast<std::size_t>(k)] =
-            even + cfloat{0.0f, 1.0f} * odd;
-    }
-    std::vector<cfloat> small(static_cast<std::size_t>(m));
-    FftPlan::dft1d(m, FftDirection::Inverse).execute(z.data(),
-                                                     small.data());
-    const float s = 1.0f / static_cast<float>(m);
-    for (std::int64_t k = 0; k < m; ++k) {
-        out[2 * k] = small[static_cast<std::size_t>(k)].real() * s;
-        out[2 * k + 1] = small[static_cast<std::size_t>(k)].imag() * s;
-    }
 }
 
 void

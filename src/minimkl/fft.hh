@@ -76,9 +76,6 @@ class FftPlan
     /** Number of batch iterations. */
     std::int64_t batchCount() const { return batch_; }
 
-    /** Standard 5*N*log2(N) flop estimate for the whole plan. */
-    double flopEstimate() const;
-
     /** True for rank-0 (pure data motion) plans. */
     bool isCopy() const { return dims_.empty(); }
 
@@ -109,21 +106,6 @@ class FftPlan
 
 /** Scale @p buf by 1/n (apply after an Inverse transform to round-trip). */
 void fftNormalize(cfloat *buf, std::int64_t count, std::int64_t n);
-
-/**
- * Real-to-complex forward FFT of @p n real samples (n a power of two,
- * n >= 2) into n/2+1 spectrum bins (the remaining bins are the
- * conjugate mirror). Uses the half-size complex-packing algorithm, so
- * it costs one n/2-point complex FFT plus O(n) unpacking.
- */
-void rfft(const float *in, std::int64_t n, cfloat *out);
-
-/**
- * Complex-to-real inverse of rfft(): @p in holds n/2+1 bins of a
- * conjugate-symmetric spectrum; @p out receives n real samples scaled
- * by 1/n (i.e. irfft(rfft(x)) == x).
- */
-void irfft(const cfloat *in, std::int64_t n, float *out);
 
 /** O(n^2) reference DFT used by tests and tiny problems. */
 void naiveDft(const cfloat *in, cfloat *out, std::int64_t n,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <sstream>
 
 #include "common/logging.hh"
 #include "common/parallel.hh"
@@ -289,74 +288,6 @@ randomGeometricGraph(std::int64_t n, double avgDegree, Rng &rng)
         }
     }
     return csrFromTriplets(n, n, std::move(trip));
-}
-
-CsrMatrix
-readMatrixMarket(const std::string &text)
-{
-    std::istringstream in(text);
-    std::string line;
-
-    // Header: %%MatrixMarket matrix coordinate <field> <symmetry>
-    fatalIf(!std::getline(in, line), "mtx: empty input");
-    std::istringstream hs(line);
-    std::string banner, object, format, field, symmetry;
-    hs >> banner >> object >> format >> field >> symmetry;
-    fatalIf(banner != "%%MatrixMarket", "mtx: missing banner");
-    fatalIf(object != "matrix" || format != "coordinate",
-            "mtx: only coordinate-format matrices are supported");
-    bool pattern = field == "pattern";
-    fatalIf(!pattern && field != "real" && field != "integer",
-            "mtx: unsupported field '", field, "'");
-    bool symmetric = symmetry == "symmetric";
-    fatalIf(!symmetric && symmetry != "general",
-            "mtx: unsupported symmetry '", symmetry, "'");
-
-    // Skip comments, read the size line.
-    do {
-        fatalIf(!std::getline(in, line), "mtx: missing size line");
-    } while (!line.empty() && line[0] == '%');
-    std::istringstream ss(line);
-    std::int64_t rows = 0, cols = 0, entries = 0;
-    ss >> rows >> cols >> entries;
-    fatalIf(rows <= 0 || cols <= 0 || entries < 0,
-            "mtx: bad size line '", line, "'");
-
-    std::vector<Triplet> trip;
-    trip.reserve(static_cast<std::size_t>(entries) * (symmetric ? 2 : 1));
-    for (std::int64_t e = 0; e < entries; ++e) {
-        do {
-            fatalIf(!std::getline(in, line), "mtx: truncated after ", e,
-                    " of ", entries, " entries");
-        } while (line.empty() || line[0] == '%');
-        std::istringstream es(line);
-        std::int64_t r = 0, c = 0;
-        double v = 1.0;
-        es >> r >> c;
-        if (!pattern)
-            es >> v;
-        fatalIf(es.fail(), "mtx: bad entry '", line, "'");
-        fatalIf(r < 1 || r > rows || c < 1 || c > cols,
-                "mtx: entry (", r, ",", c, ") out of range");
-        trip.push_back({r - 1, c - 1, static_cast<float>(v)});
-        if (symmetric && r != c)
-            trip.push_back({c - 1, r - 1, static_cast<float>(v)});
-    }
-    return csrFromTriplets(rows, cols, std::move(trip));
-}
-
-std::string
-writeMatrixMarket(const CsrMatrix &m)
-{
-    std::ostringstream os;
-    os << "%%MatrixMarket matrix coordinate real general\n";
-    os << "% written by MEALib MiniMKL\n";
-    os << m.rows << " " << m.cols << " " << m.nnz() << "\n";
-    for (std::int64_t r = 0; r < m.rows; ++r)
-        for (std::int64_t k = m.rowPtr[r]; k < m.rowPtr[r + 1]; ++k)
-            os << r + 1 << " " << m.colIdx[k] + 1 << " "
-               << m.vals[static_cast<std::size_t>(k)] << "\n";
-    return os.str();
 }
 
 CsrMatrix

@@ -15,7 +15,6 @@
 #define MEALIB_MINIMKL_SPARSE_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -102,17 +101,6 @@ CsrMatrix randomGeometricGraph(std::int64_t n, double avgDegree, Rng &rng);
 
 /** Symmetric banded test matrix with @p halfBandwidth off-diagonals. */
 CsrMatrix bandMatrix(std::int64_t n, std::int64_t halfBandwidth);
-
-/**
- * Parse a Matrix Market (.mtx) coordinate-format body into CSR. The UF
- * Sparse Matrix Collection — the paper's source for rgg_n_2_20 — ships
- * this format. Supports `real`/`integer`/`pattern` fields and the
- * `general`/`symmetric` symmetry modes; fatal() on malformed input.
- */
-CsrMatrix readMatrixMarket(const std::string &text);
-
-/** Serialize CSR to Matrix Market coordinate format (general, real). */
-std::string writeMatrixMarket(const CsrMatrix &m);
 
 } // namespace mealib::mkl
 

@@ -4,18 +4,8 @@
 #include <cstdlib>
 
 #include "common/logging.hh"
-#include "hwmodel/profile.hh"
 
 namespace mealib::noc {
-
-// The 32 nm mesh constants live in the hardware-model registry
-// (src/hwmodel/presets.cc); this factory remains as the module-local
-// spelling.
-MeshParams
-mealibMesh()
-{
-    return hwmodel::mealibMeshParams();
-}
 
 Mesh::Mesh(const MeshParams &params) : params_(params)
 {

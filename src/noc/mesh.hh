@@ -30,10 +30,9 @@ struct MeshParams
     double energyPerByteHop = 0.0;   //!< dynamic energy per byte per hop
     double routerLeakageW = 0.0;     //!< static power per router
     double routerAreaMm2 = 0.0;      //!< area per router (incl. links)
-};
 
-/** Default MEALib accelerator-layer mesh: 32 tiles as 8x4. */
-MeshParams mealibMesh();
+    bool operator==(const MeshParams &) const = default;
+};
 
 /** Analytical mesh model. */
 class Mesh

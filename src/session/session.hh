@@ -13,9 +13,9 @@
  *
  * Unmodified MKL-signature callers reach their session through
  * thread binding: Session::bind() returns an RAII guard that routes
- * the calling thread's cblas_/fftwf_/mkl_ calls (and dispatch::ops)
- * through this session's dispatcher and posts the runtime's costs
- * and counters to this session's ledger too. N threads bound to N sessions share one
+ * the calling thread's cblas_/fftwf_/mkl_ calls through this
+ * session's dispatcher and posts the runtime's costs and counters to
+ * this session's ledger too. N threads bound to N sessions share one
  * runtime without racing on cost models, telemetry or ledgers; an
  * unbound thread keeps the legacy behaviour (Dispatcher::global(),
  * aggregate ledger only) bit for bit.

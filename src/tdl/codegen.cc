@@ -1,7 +1,5 @@
 #include "tdl/codegen.hh"
 
-#include <sstream>
-
 #include "common/logging.hh"
 #include "tdl/params.hh"
 #include "tdl/parser.hh"
@@ -52,38 +50,6 @@ accel::DescriptorProgram
 compileTdl(const std::string &source, const ParamResolver &resolve)
 {
     return codegen(parse(source), resolve);
-}
-
-std::string
-format(const TdlProgram &prog)
-{
-    std::ostringstream os;
-    auto emit_pass = [&](const TdlPass &p, const char *indent) {
-        os << indent << "PASS(";
-        os << "in=" << p.inAddr << ", out=" << p.outAddr << ") {\n";
-        for (const TdlComp &c : p.comps) {
-            os << indent << "  COMP(acc=" << c.acc << ", params=\""
-               << c.paramsFile << "\")\n";
-        }
-        os << indent << "}\n";
-    };
-    for (const TdlItem &item : prog.items) {
-        if (item.isLoop) {
-            os << "LOOP(dims=\"";
-            for (unsigned d = 0; d < accel::kMaxLoopDims; ++d) {
-                os << item.loop.loop.dims[d];
-                if (d + 1 < accel::kMaxLoopDims)
-                    os << "x";
-            }
-            os << "\") {\n";
-            for (const TdlPass &p : item.loop.passes)
-                emit_pass(p, "  ");
-            os << "}\n";
-        } else {
-            emit_pass(item.pass, "");
-        }
-    }
-    return os.str();
 }
 
 } // namespace mealib::tdl

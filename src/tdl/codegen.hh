@@ -30,9 +30,6 @@ accel::DescriptorProgram codegen(const TdlProgram &prog,
 accel::DescriptorProgram compileTdl(const std::string &source,
                                     const ParamResolver &resolve);
 
-/** Pretty-print a TDL program (round-trips through parse()). */
-std::string format(const TdlProgram &prog);
-
 } // namespace mealib::tdl
 
 #endif // MEALIB_TDL_CODEGEN_HH

@@ -7,6 +7,7 @@
 #include "accel/model.hh"
 #include "common/logging.hh"
 #include "dram/params.hh"
+#include "hwmodel/profile.hh"
 #include "noc/mesh.hh"
 
 namespace mealib::accel {
@@ -35,7 +36,8 @@ fftCall(std::uint64_t n, std::uint64_t batch = 1)
 AccelModel
 makeModel(AccelKind kind, const dram::DramParams &d)
 {
-    return AccelModel(kind, defaultConfig(kind), d, noc::mealibMesh());
+    return AccelModel(kind, defaultConfig(kind), d,
+                      hwmodel::mealibMeshParams());
 }
 
 TEST(OpCall, FlopsAndTraffic)
@@ -57,7 +59,7 @@ TEST(OpCall, FlopsAndTraffic)
 
 TEST(AccelModel, StreamingOpIsMemoryBound)
 {
-    AccelModel m = makeModel(AccelKind::AXPY, dram::hmcStack());
+    AccelModel m = makeModel(AccelKind::AXPY, hwmodel::hmcStackParams());
     AccelEstimate e = m.estimate(axpyCall(16 << 20));
     EXPECT_GT(e.memSeconds, e.computeSeconds);
     // Achieved bandwidth within [50%, 100%] of the 510 GB/s stack.
@@ -68,10 +70,10 @@ TEST(AccelModel, StreamingOpIsMemoryBound)
 TEST(AccelModel, MoreBandwidthMoreSpeed)
 {
     AccelEstimate hmc =
-        makeModel(AccelKind::AXPY, dram::hmcStack())
+        makeModel(AccelKind::AXPY, hwmodel::hmcStackParams())
             .estimate(axpyCall(16 << 20));
     AccelEstimate ddr =
-        makeModel(AccelKind::AXPY, dram::ddr3(2))
+        makeModel(AccelKind::AXPY, hwmodel::ddr3Params(2))
             .estimate(axpyCall(16 << 20));
     // 510 GB/s vs 25.6 GB/s should be roughly an order of magnitude.
     EXPECT_GT(ddr.total.seconds / hmc.total.seconds, 8.0);
@@ -80,12 +82,12 @@ TEST(AccelModel, MoreBandwidthMoreSpeed)
 TEST(AccelModel, MsasSitsBetweenPsasAndMealib)
 {
     OpCall c = axpyCall(16 << 20);
-    double t_psas =
-        makeModel(AccelKind::AXPY, dram::ddr3(2)).estimate(c).total.seconds;
-    double t_msas =
-        makeModel(AccelKind::AXPY, dram::ddr3(8)).estimate(c).total.seconds;
-    double t_mea =
-        makeModel(AccelKind::AXPY, dram::hmcStack()).estimate(c).total.seconds;
+    auto seconds = [&](const dram::DramParams &d) {
+        return makeModel(AccelKind::AXPY, d).estimate(c).total.seconds;
+    };
+    double t_psas = seconds(hwmodel::ddr3Params(2));
+    double t_msas = seconds(hwmodel::ddr3Params(8));
+    double t_mea = seconds(hwmodel::hmcStackParams());
     EXPECT_GT(t_psas, t_msas);
     EXPECT_GT(t_msas, t_mea);
 }
@@ -98,9 +100,9 @@ TEST(AccelModel, SpmvSlowerPerByteThanAxpy)
     s.n = 1 << 18;
     s.k = 1 << 21; // ~8 nnz per row
     AccelEstimate es =
-        makeModel(AccelKind::SPMV, dram::hmcStack()).estimate(s);
+        makeModel(AccelKind::SPMV, hwmodel::hmcStackParams()).estimate(s);
     AccelEstimate ea =
-        makeModel(AccelKind::AXPY, dram::hmcStack())
+        makeModel(AccelKind::AXPY, hwmodel::hmcStackParams())
             .estimate(axpyCall(16 << 20));
     // The gather destroys row locality: effective bandwidth must be
     // well below the streaming case.
@@ -109,7 +111,7 @@ TEST(AccelModel, SpmvSlowerPerByteThanAxpy)
 
 TEST(AccelModel, LoopAggregatesIterations)
 {
-    AccelModel m = makeModel(AccelKind::DOT, dram::hmcStack());
+    AccelModel m = makeModel(AccelKind::DOT, hwmodel::hmcStackParams());
     OpCall c;
     c.kind = AccelKind::DOT;
     c.n = 1024;
@@ -123,7 +125,7 @@ TEST(AccelModel, LoopAggregatesIterations)
 
 TEST(AccelModel, FftSmallFitsLocalMemorySinglePass)
 {
-    AccelModel m = makeModel(AccelKind::FFT, dram::hmcStack());
+    AccelModel m = makeModel(AccelKind::FFT, hwmodel::hmcStackParams());
     // 8 MiB of local memory (32 tiles x 256 KiB): a 256-point transform
     // needs one pass, a 16M-point transform needs two.
     AccelEstimate small = m.estimate(fftCall(1 << 18));
@@ -136,13 +138,13 @@ TEST(AccelModel, FftSmallFitsLocalMemorySinglePass)
 
 TEST(AccelModel, HigherFrequencyNeverSlower)
 {
-    dram::DramParams d = dram::hmcStack();
+    dram::DramParams d = hwmodel::hmcStackParams();
     AccelConfig slow = defaultConfig(AccelKind::FFT);
     slow.freq = 0.8_GHz;
     AccelConfig fast = slow;
     fast.freq = 2.0_GHz;
-    AccelModel ms(AccelKind::FFT, slow, d, noc::mealibMesh());
-    AccelModel mf(AccelKind::FFT, fast, d, noc::mealibMesh());
+    AccelModel ms(AccelKind::FFT, slow, d, hwmodel::mealibMeshParams());
+    AccelModel mf(AccelKind::FFT, fast, d, hwmodel::mealibMeshParams());
     OpCall c = fftCall(1 << 20);
     EXPECT_LE(mf.estimate(c).total.seconds,
               ms.estimate(c).total.seconds * 1.0001);
@@ -178,7 +180,7 @@ TEST(Config, TotalAreaMatchesTable5Budget)
         auto kind = static_cast<AccelKind>(k);
         total += areaMm2(kind, defaultConfig(kind));
     }
-    noc::Mesh mesh(noc::mealibMesh());
+    noc::Mesh mesh(hwmodel::mealibMeshParams());
     total += mesh.areaMm2() + kTsvAreaMm2;
     EXPECT_NEAR(total, 41.77, 0.5);
     EXPECT_NEAR(total / kLayerAreaMm2, 0.6143, 0.01);
@@ -188,7 +190,7 @@ TEST(AccelModel, PowerInTable5Band)
 {
     // Logic + DRAM power for the default AXPY configuration should land
     // near the Table 5 value of 23.56 W.
-    AccelModel m = makeModel(AccelKind::AXPY, dram::hmcStack());
+    AccelModel m = makeModel(AccelKind::AXPY, hwmodel::hmcStackParams());
     AccelEstimate e = m.estimate(axpyCall(32 << 20));
     EXPECT_GT(e.powerW(), 18.0);
     EXPECT_LT(e.powerW(), 28.0);
@@ -196,7 +198,7 @@ TEST(AccelModel, PowerInTable5Band)
 
 TEST(AccelModel, ReshpReportsBandwidthNotFlops)
 {
-    AccelModel m = makeModel(AccelKind::RESHP, dram::hmcStack());
+    AccelModel m = makeModel(AccelKind::RESHP, hwmodel::hmcStackParams());
     OpCall c;
     c.kind = AccelKind::RESHP;
     c.m = 4096;
@@ -208,7 +210,7 @@ TEST(AccelModel, ReshpReportsBandwidthNotFlops)
 
 TEST(AccelModel, EmptyLoopIsFatal)
 {
-    AccelModel m = makeModel(AccelKind::AXPY, dram::hmcStack());
+    AccelModel m = makeModel(AccelKind::AXPY, hwmodel::hmcStackParams());
     LoopSpec bad;
     bad.dims = {0, 1, 1, 1};
     EXPECT_THROW(m.estimate(axpyCall(1024), bad), FatalError);

@@ -9,6 +9,7 @@
 #include "apps/sar.hh"
 #include "apps/stap.hh"
 #include "common/logging.hh"
+#include "dispatch/dispatcher.hh"
 #include "hwmodel/profile.hh"
 
 namespace mealib::apps {
@@ -132,6 +133,28 @@ TEST(Stap, BreakdownShapeMatchesFig14)
         mea.invocation.seconds /
         (mea.invocation.seconds + mea.accel.seconds);
     EXPECT_LT(inv_share, 0.5);
+}
+
+TEST(Stap, HostPipelineDispatchesEveryLibraryCallOnce)
+{
+    // Each MKL-signature call of the host pipeline (Table 4) reaches the
+    // calling thread's dispatcher exactly once, under its own kind.
+    using dispatch::OpKind;
+    const StapParams p = StapParams::smallSet();
+    dispatch::Dispatcher disp;
+    dispatch::Dispatcher *prev = dispatch::bindCurrentDispatcher(&disp);
+    runStapHost(p);
+    dispatch::bindCurrentDispatcher(prev);
+
+    const dispatch::DispatchStats s = disp.snapshot();
+    const std::uint64_t blocks = p.nDop * p.nBlocks;
+    EXPECT_EQ(s.of(OpKind::Transpose).calls, p.nChan); // mkl_comatcopy
+    EXPECT_EQ(s.of(OpKind::Herk).calls, blocks);       // cblas_cherk
+    EXPECT_EQ(s.of(OpKind::Trsm).calls, 2 * blocks);   // cblas_ctrsm
+    EXPECT_EQ(s.of(OpKind::Dot).calls, p.dotCalls());  // cblas_cdotc_sub
+    EXPECT_EQ(s.of(OpKind::Axpy).calls, 1u);           // cblas_caxpy
+    // No other kind: 12 + 256 + 512 + 65536 + 1.
+    EXPECT_EQ(s.totalCalls(), 66317u);
 }
 
 TEST(Stap, ParamsDeriveConsistentShapes)

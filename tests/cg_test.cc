@@ -6,6 +6,7 @@
 
 #include "apps/cg.hh"
 #include "common/logging.hh"
+#include "dispatch/dispatcher.hh"
 #include "runtime/runtime.hh"
 
 namespace mealib::apps {
@@ -28,6 +29,31 @@ TEST(CgHost, ConvergesOnSpdSystem)
     EXPECT_TRUE(r.converged);
     EXPECT_GT(r.iterations, 1u);
     EXPECT_LT(r.iterations, 200u);
+}
+
+TEST(CgHost, DispatchesEveryLibraryCallOnce)
+{
+    // Tolerance 0 never converges, so all K iterations run in full: two
+    // set-up dots, then per iteration one SpMV, two dots and three
+    // AXPY-kind calls (two saxpy, the saxpby direction update).
+    using dispatch::OpKind;
+    const unsigned k = 7;
+    mkl::CsrMatrix a = cgTestMatrix(500, 3);
+    CgOptions opts;
+    opts.tolerance = 0.0;
+    opts.maxIterations = k;
+    dispatch::Dispatcher disp;
+    dispatch::Dispatcher *prev = dispatch::bindCurrentDispatcher(&disp);
+    CgResult r = solveCgHost(a, rhs(500), opts);
+    dispatch::bindCurrentDispatcher(prev);
+    ASSERT_FALSE(r.converged);
+    ASSERT_EQ(r.iterations, k);
+
+    const dispatch::DispatchStats s = disp.snapshot();
+    EXPECT_EQ(s.of(OpKind::Dot).calls, 2u + 2u * k);
+    EXPECT_EQ(s.of(OpKind::Spmv).calls, k);
+    EXPECT_EQ(s.of(OpKind::Axpy).calls, 3u * k);
+    EXPECT_EQ(s.totalCalls(), 2u + 6u * k);
 }
 
 TEST(CgHost, SolutionSatisfiesSystem)

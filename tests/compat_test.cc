@@ -3,16 +3,21 @@
 
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <cstring>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "dispatch/dispatcher.hh"
 #include "minimkl/blas1.hh"
 #include "minimkl/blas3.hh"
 #include "minimkl/compat.hh"
+#include "minimkl/transpose.hh"
 
 namespace {
 
@@ -108,9 +113,135 @@ TEST(CblasShims, CtrsmSolvesDiagonalSystem)
     EXPECT_FLOAT_EQ(b[3].real(), 4.0f);
 }
 
-// The shims below have no caller in the repo's apps: each must produce
-// the bytes of the mkl:: kernel it wraps (non-unit strides where the API
-// has them) and count one dispatch under its kind.
+// The shims hand their CBLAS enums to the MiniMKL kernels by value. Over
+// every argument combination the kernel accepts, cblas_cherk and
+// cblas_ctrsm must produce the bytes of the kernel called with the
+// same-named MiniMKL enums and count one dispatch under their kind. The
+// operands are dense and padded, so a swapped layout, side, triangle,
+// transposition or diagonal reads other elements and changes the bytes.
+
+mealib::mkl::Order
+kernelOrder(CBLAS_LAYOUT l)
+{
+    return l == CblasRowMajor ? mealib::mkl::Order::RowMajor
+                              : mealib::mkl::Order::ColMajor;
+}
+
+mealib::mkl::Side
+kernelSide(CBLAS_SIDE s)
+{
+    return s == CblasLeft ? mealib::mkl::Side::Left
+                          : mealib::mkl::Side::Right;
+}
+
+mealib::mkl::Uplo
+kernelUplo(CBLAS_UPLO u)
+{
+    return u == CblasUpper ? mealib::mkl::Uplo::Upper
+                           : mealib::mkl::Uplo::Lower;
+}
+
+mealib::mkl::Transpose
+kernelTrans(CBLAS_TRANSPOSE t)
+{
+    switch (t) {
+      case CblasNoTrans:
+        return mealib::mkl::Transpose::NoTrans;
+      case CblasTrans:
+        return mealib::mkl::Transpose::Trans;
+      default:
+        return mealib::mkl::Transpose::ConjTrans;
+    }
+}
+
+mealib::mkl::Diag
+kernelDiag(CBLAS_DIAG d)
+{
+    return d == CblasUnit ? mealib::mkl::Diag::Unit
+                          : mealib::mkl::Diag::NonUnit;
+}
+
+std::vector<cfloat>
+randomComplex(std::size_t n, std::uint64_t seed)
+{
+    mealib::Rng rng(seed);
+    std::vector<cfloat> v(n);
+    for (auto &x : v)
+        x = {rng.uniform(-1.0f, 1.0f), rng.uniform(-1.0f, 1.0f)};
+    return v;
+}
+
+class CherkShimCombos
+    : public ::testing::TestWithParam<
+          std::tuple<CBLAS_LAYOUT, CBLAS_UPLO, CBLAS_TRANSPOSE>>
+{};
+
+TEST_P(CherkShimCombos, MatchesKernelAndCountsHerk)
+{
+    const auto [layout, uplo, trans] = GetParam();
+    // C is 4x4 in rows of 6; A is read as 4x3 or 3x4 out of a dense 4x4
+    // in rows of 5.
+    const int n = 4, k = 3, lda = 5, ldc = 6;
+    const std::vector<cfloat> a = randomComplex(4 * lda, 21);
+    std::vector<cfloat> c = randomComplex(n * ldc, 22);
+    std::vector<cfloat> want = c;
+    mealib::mkl::cherk(kernelOrder(layout), kernelUplo(uplo),
+                       kernelTrans(trans), n, k, 0.75f, a.data(), lda, 0.5f,
+                       want.data(), ldc);
+    EXPECT_EQ(callsDuring(OpKind::Herk, [&] {
+                  cblas_cherk(layout, uplo, trans, n, k, 0.75f, a.data(),
+                              lda, 0.5f, c.data(), ldc);
+              }),
+              1u);
+    EXPECT_TRUE(sameBytes(c, want));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllCombos, CherkShimCombos,
+    ::testing::Combine(::testing::Values(CblasRowMajor, CblasColMajor),
+                       ::testing::Values(CblasUpper, CblasLower),
+                       ::testing::Values(CblasNoTrans, CblasConjTrans)));
+
+class CtrsmShimCombos
+    : public ::testing::TestWithParam<
+          std::tuple<CBLAS_SIDE, CBLAS_UPLO, CBLAS_TRANSPOSE, CBLAS_DIAG>>
+{};
+
+TEST_P(CtrsmShimCombos, MatchesKernelAndCountsTrsm)
+{
+    const auto [side, uplo, trans, diag] = GetParam();
+    // B is 5x4 in rows of 7; A is the leading 5x5 (left) or 4x4 (right)
+    // block of a dense, diagonally dominant 5x5 in rows of 6.
+    const int m = 5, n = 4, lda = 6, ldb = 7;
+    std::vector<cfloat> a = randomComplex(5 * lda, 11);
+    for (int i = 0; i < 5; ++i)
+        a[static_cast<std::size_t>(i * lda + i)] += cfloat{4.0f, 1.0f};
+    std::vector<cfloat> b = randomComplex(m * ldb, 12);
+    std::vector<cfloat> want = b;
+    const cfloat alpha{1.5f, -0.5f};
+    mealib::mkl::ctrsm(mealib::mkl::Order::RowMajor, kernelSide(side),
+                       kernelUplo(uplo), kernelTrans(trans),
+                       kernelDiag(diag), m, n, alpha, a.data(), lda,
+                       want.data(), ldb);
+    EXPECT_EQ(callsDuring(OpKind::Trsm, [&] {
+                  cblas_ctrsm(CblasRowMajor, side, uplo, trans, diag, m, n,
+                              &alpha, a.data(), lda, b.data(), ldb);
+              }),
+              1u);
+    EXPECT_TRUE(sameBytes(b, want));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllCombos, CtrsmShimCombos,
+    ::testing::Combine(::testing::Values(CblasLeft, CblasRight),
+                       ::testing::Values(CblasUpper, CblasLower),
+                       ::testing::Values(CblasNoTrans, CblasTrans,
+                                         CblasConjTrans),
+                       ::testing::Values(CblasNonUnit, CblasUnit)));
+
+// Each shim below must produce the bytes of the mkl:: kernel it wraps
+// (non-unit strides where the API has them) and count one dispatch under
+// its kind.
 
 TEST(CblasShims, CaxpyMatchesKernelAndCountsAxpy)
 {
@@ -239,6 +370,42 @@ TEST(MklShims, SimatcopyTransposesInPlace)
     mkl_simatcopy('R', 'T', 2, 2, 1.0f, a.data(), 2, 2);
     EXPECT_FLOAT_EQ(a[1], 3.0f);
     EXPECT_FLOAT_EQ(a[2], 2.0f);
+}
+
+TEST(MklShims, ComatcopyMatchesKernelAndCountsTranspose)
+{
+    // A 3x5 complex matrix in rows of 7, written into rows of 6 (above
+    // the 5 or 3 columns each result needs), with a complex alpha.
+    std::vector<cfloat> a(3 * 7);
+    for (std::size_t i = 0; i < a.size(); ++i)
+        a[i] = {0.5f * static_cast<float>(i % 7) - 1.5f,
+                0.25f * static_cast<float>(i % 5) + 0.125f};
+    const cfloat alpha{0.5f, -1.5f};
+    const std::pair<char, mealib::mkl::Transpose> modes[] = {
+        {'N', mealib::mkl::Transpose::NoTrans},
+        {'T', mealib::mkl::Transpose::Trans},
+        {'C', mealib::mkl::Transpose::ConjTrans}};
+    for (const auto &[trans, kernelTrans] : modes) {
+        std::vector<cfloat> b = ramp<cfloat>(5 * 6, -0.25f);
+        std::vector<cfloat> want = b;
+        mealib::mkl::comatcopy(mealib::mkl::Order::RowMajor, kernelTrans,
+                               3, 5, alpha, a.data(), 7, want.data(), 6);
+        const mealib::dispatch::OpStats before =
+            Dispatcher::global().snapshot().of(OpKind::Transpose);
+        mkl_comatcopy('R', trans, 3, 5, {alpha.real(), alpha.imag()},
+                      reinterpret_cast<const MKL_Complex8 *>(a.data()), 7,
+                      reinterpret_cast<MKL_Complex8 *>(b.data()), 6);
+        const mealib::dispatch::OpStats after =
+            Dispatcher::global().snapshot().of(OpKind::Transpose);
+        EXPECT_EQ(after.calls - before.calls, 1u) << trans;
+        EXPECT_EQ(after.fallbacks - before.fallbacks, 0u) << trans;
+        EXPECT_TRUE(sameBytes(b, want)) << trans;
+    }
+    EXPECT_THROW(mkl_comatcopy('R', 'R', 3, 5, {1.0f, 0.0f},
+                               reinterpret_cast<const MKL_Complex8 *>(
+                                   a.data()),
+                               7, nullptr, 6),
+                 mealib::FatalError);
 }
 
 TEST(MklShims, DfsInterpolate1D)

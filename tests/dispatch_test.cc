@@ -15,7 +15,6 @@
 #include "dispatch/dispatcher.hh"
 #include "dispatch/models.hh"
 #include "dispatch/opdesc.hh"
-#include "dispatch/ops.hh"
 #include "dispatch/policy.hh"
 #include "dispatch/telemetry.hh"
 #include "mealib/platform.hh"
@@ -394,16 +393,16 @@ TEST(Dispatcher, StapPipelineBitForBitThroughDispatch)
     std::vector<mkl::cfloat> out1(ch, mkl::cfloat{0, 0});
     std::vector<mkl::cfloat> out2 = out1;
 
-    // Path 1: dispatched entry points (what the apps now call).
-    ops::cherk(mkl::Order::RowMajor, mkl::Uplo::Upper,
-               mkl::Transpose::NoTrans, ch, snap, 1.0f, a1.data(), snap,
-               0.0f, cov1.data(), ch);
+    // Path 1: the MKL-signature shims (what the apps call).
+    cblas_cherk(CblasRowMajor, CblasUpper, CblasNoTrans, ch, snap, 1.0f,
+                a1.data(), snap, 0.0f, cov1.data(), ch);
     mkl::cfloat alpha{1, 0};
-    ops::ctrsm(mkl::Order::RowMajor, mkl::Side::Left, mkl::Uplo::Upper,
-               mkl::Transpose::ConjTrans, mkl::Diag::NonUnit, ch, 1,
-               alpha, cov1.data(), ch, steer1.data(), 1);
-    mkl::cfloat g1 = ops::cdotc(ch, steer1.data(), 1, steer1.data(), 1);
-    ops::caxpy(ch, g1, steer1.data(), 1, out1.data(), 1);
+    cblas_ctrsm(CblasRowMajor, CblasLeft, CblasUpper, CblasConjTrans,
+                CblasNonUnit, ch, 1, &alpha, cov1.data(), ch,
+                steer1.data(), 1);
+    mkl::cfloat g1;
+    cblas_cdotc_sub(ch, steer1.data(), 1, steer1.data(), 1, &g1);
+    cblas_caxpy(ch, &g1, steer1.data(), 1, out1.data(), 1);
 
     // Path 2: the un-dispatched kernels.
     mkl::cherk(mkl::Order::RowMajor, mkl::Uplo::Upper,

@@ -7,6 +7,7 @@
 #include "dram/stack.hh"
 #include "dram/tracegen.hh"
 #include "dram/vault.hh"
+#include "hwmodel/profile.hh"
 
 namespace mealib::dram {
 namespace {
@@ -32,7 +33,7 @@ randomTrace(const DramParams &p, std::uint64_t bytes, std::uint64_t seed)
 
 TEST(PagePolicy, OpenBeatsClosedOnSequentialStreams)
 {
-    DramParams p = hmcStack();
+    DramParams p = hwmodel::hmcStackParams();
     Stack open(p, PagePolicy::Open);
     Stack closed(p, PagePolicy::Closed);
     Trace t = linearTrace(p, 8_MiB);
@@ -46,7 +47,7 @@ TEST(PagePolicy, ClosedCompetitiveOnRandomStreams)
     // Random traffic gets no reuse out of open rows; auto-precharge
     // hides tRP behind the next access, so closed-page must be at least
     // as fast (within noise) on a pure random stream.
-    DramParams p = hmcStack();
+    DramParams p = hwmodel::hmcStackParams();
     Stack open(p, PagePolicy::Open);
     Stack closed(p, PagePolicy::Closed);
     Trace t = randomTrace(p, 4_MiB, 7);
@@ -57,7 +58,7 @@ TEST(PagePolicy, ClosedCompetitiveOnRandomStreams)
 
 TEST(PagePolicy, ClosedNeverHitsRows)
 {
-    DramParams p = hmcStack();
+    DramParams p = hwmodel::hmcStackParams();
     Stack closed(p, PagePolicy::Closed);
     RunStats r = closed.run(linearTrace(p, 1_MiB));
     EXPECT_EQ(r.rowHits, 0u);
@@ -66,7 +67,7 @@ TEST(PagePolicy, ClosedNeverHitsRows)
 
 TEST(Refresh, CountsProportionalToBusyTime)
 {
-    DramParams p = hmcStack();
+    DramParams p = hwmodel::hmcStackParams();
     Stack s(p);
     RunStats small = s.run(linearTrace(p, 2_MiB));
     RunStats large = s.run(linearTrace(p, 16_MiB));
@@ -75,8 +76,8 @@ TEST(Refresh, CountsProportionalToBusyTime)
 
 TEST(Refresh, DisablingRefreshSpeedsThingsUp)
 {
-    DramParams with = hmcStack();
-    DramParams without = hmcStack();
+    DramParams with = hwmodel::hmcStackParams();
+    DramParams without = hwmodel::hmcStackParams();
     without.timing.tREFI = 0;
     Stack sw(with), sn(without);
     Trace t = linearTrace(with, 16_MiB);
@@ -90,8 +91,8 @@ TEST(Refresh, DisablingRefreshSpeedsThingsUp)
 
 TEST(Refresh, AddsEnergy)
 {
-    DramParams with = hmcStack();
-    DramParams without = hmcStack();
+    DramParams with = hwmodel::hmcStackParams();
+    DramParams without = hwmodel::hmcStackParams();
     without.timing.tREFI = 0;
     Stack sw(with), sn(without);
     Trace t = linearTrace(with, 16_MiB);
@@ -102,8 +103,8 @@ TEST(Refresh, Ddr3PaysMoreThanHmc)
 {
     // 350 ns tRFC every 7.8 us on DDR3 vs 60 ns every 3.9 us on the
     // fine-grained 3D stack: the relative refresh tax is higher on DDR3.
-    DramParams hmc = hmcStack();
-    DramParams ddr = ddr3(2);
+    DramParams hmc = hwmodel::hmcStackParams();
+    DramParams ddr = hwmodel::ddr3Params(2);
     double hmc_tax = static_cast<double>(hmc.timing.tRFC) /
                      static_cast<double>(hmc.timing.tREFI);
     double ddr_tax = static_cast<double>(ddr.timing.tRFC) /

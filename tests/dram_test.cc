@@ -9,6 +9,7 @@
 #include "dram/stack.hh"
 #include "dram/tracegen.hh"
 #include "dram/vault.hh"
+#include "hwmodel/profile.hh"
 
 namespace mealib::dram {
 namespace {
@@ -23,7 +24,7 @@ linearTrace(const DramParams &p, std::uint64_t bytes, bool write = false)
 
 TEST(Params, HmcBandwidthMatchesTable3)
 {
-    DramParams p = hmcStack();
+    DramParams p = hwmodel::hmcStackParams();
     // Table 3 quotes 510 GB/s for the MEALib stack; our organization
     // gives 512 GB/s peak (32 vaults x 16 GB/s).
     EXPECT_NEAR(p.peakInternalBandwidth(), 510.0e9, 15.0e9);
@@ -31,13 +32,13 @@ TEST(Params, HmcBandwidthMatchesTable3)
 
 TEST(Params, Ddr3BandwidthScalesWithChannels)
 {
-    EXPECT_NEAR(ddr3(2).peakInternalBandwidth(), 25.6e9, 1e6);
-    EXPECT_NEAR(ddr3(8).peakInternalBandwidth(), 102.4e9, 1e6);
+    EXPECT_NEAR(hwmodel::ddr3Params(2).peakInternalBandwidth(), 25.6e9, 1e6);
+    EXPECT_NEAR(hwmodel::ddr3Params(8).peakInternalBandwidth(), 102.4e9, 1e6);
 }
 
 TEST(Vault, SequentialStreamMostlyRowHits)
 {
-    DramParams p = hmcStack();
+    DramParams p = hwmodel::hmcStackParams();
     Vault v(p.timing, p.org);
     std::vector<Request> q;
     for (Addr a = 0; a < 8 * p.org.rowBytes; a += p.timing.burstBytes)
@@ -51,7 +52,7 @@ TEST(Vault, SequentialStreamMostlyRowHits)
 
 TEST(Vault, RandomStreamMostlyRowMisses)
 {
-    DramParams p = hmcStack();
+    DramParams p = hwmodel::hmcStackParams();
     Vault v(p.timing, p.org);
     Rng rng(3);
     std::vector<Request> q;
@@ -67,7 +68,7 @@ TEST(Vault, RandomStreamMostlyRowMisses)
 
 TEST(Vault, RowMissesSlowerThanHits)
 {
-    DramParams p = hmcStack();
+    DramParams p = hwmodel::hmcStackParams();
     // All requests to the same row (hits after the first)...
     Vault v1(p.timing, p.org);
     std::vector<Request> hits;
@@ -90,7 +91,7 @@ TEST(Vault, RowMissesSlowerThanHits)
 
 TEST(Vault, SchedulerWindowReordersForHits)
 {
-    DramParams p = hmcStack();
+    DramParams p = hwmodel::hmcStackParams();
     // Interleave two row streams of the same bank: FCFS thrashes, a
     // window of 8 can batch same-row requests.
     std::vector<Request> q;
@@ -110,7 +111,7 @@ TEST(Vault, SchedulerWindowReordersForHits)
 
 TEST(Vault, WritesPayWriteRecovery)
 {
-    DramParams p = hmcStack();
+    DramParams p = hwmodel::hmcStackParams();
     std::vector<Request> reads, writes;
     // Alternate banks are irrelevant: hammer one bank's row boundary so
     // tWR lands on the critical path of the following activate.
@@ -128,7 +129,7 @@ TEST(Vault, WritesPayWriteRecovery)
 
 TEST(Vault, RejectsOversizedRequest)
 {
-    DramParams p = hmcStack();
+    DramParams p = hwmodel::hmcStackParams();
     Vault v(p.timing, p.org);
     std::vector<Request> q{{0, 4096, false}};
     EXPECT_THROW(v.service(q, 0), PanicError);
@@ -136,7 +137,7 @@ TEST(Vault, RejectsOversizedRequest)
 
 TEST(Stack, BandwidthBelowPeak)
 {
-    DramParams p = hmcStack();
+    DramParams p = hwmodel::hmcStackParams();
     Stack s(p);
     RunStats r = s.run(linearTrace(p, 32_MiB));
     EXPECT_LE(r.bandwidth(), p.peakInternalBandwidth() * 1.001);
@@ -145,7 +146,7 @@ TEST(Stack, BandwidthBelowPeak)
 
 TEST(Stack, SequentialStreamNearPeak)
 {
-    DramParams p = hmcStack();
+    DramParams p = hwmodel::hmcStackParams();
     Stack s(p);
     RunStats r = s.run(linearTrace(p, 32_MiB));
     // A pure sequential read stream should exceed 60% of peak on an
@@ -156,7 +157,7 @@ TEST(Stack, SequentialStreamNearPeak)
 
 TEST(Stack, RandomStreamMuchSlowerThanSequential)
 {
-    DramParams p = hmcStack();
+    DramParams p = hwmodel::hmcStackParams();
     Stack s(p);
     RunStats seq = s.run(linearTrace(p, 8_MiB));
 
@@ -169,7 +170,7 @@ TEST(Stack, RandomStreamMuchSlowerThanSequential)
 
 TEST(Stack, TimeScalesLinearlyWithTraffic)
 {
-    DramParams p = hmcStack();
+    DramParams p = hwmodel::hmcStackParams();
     Stack s(p);
     RunStats a = s.run(linearTrace(p, 4_MiB));
     RunStats b = s.run(linearTrace(p, 16_MiB));
@@ -178,7 +179,7 @@ TEST(Stack, TimeScalesLinearlyWithTraffic)
 
 TEST(Stack, SampledRunMatchesFullRun)
 {
-    DramParams p = hmcStack();
+    DramParams p = hwmodel::hmcStackParams();
     Stack s(p);
 
     // Full simulation of 8 MiB...
@@ -199,7 +200,7 @@ TEST(Stack, SampledRunMatchesFullRun)
 
 TEST(Stack, EnergyIncreasesWithRandomness)
 {
-    DramParams p = hmcStack();
+    DramParams p = hwmodel::hmcStackParams();
     Stack s(p);
     RunStats seq = s.run(linearTrace(p, 8_MiB));
 
@@ -214,7 +215,7 @@ TEST(Stack, EnergyIncreasesWithRandomness)
 
 TEST(Stack, OwnershipExcludesSimultaneousUse)
 {
-    Stack s(hmcStack());
+    Stack s(hwmodel::hmcStackParams());
     s.acquire(Owner::Accelerator);
     EXPECT_THROW(s.acquire(Owner::Cpu), FatalError);
     s.release(Owner::Accelerator);
@@ -224,13 +225,13 @@ TEST(Stack, OwnershipExcludesSimultaneousUse)
 
 TEST(Stack, ReleaseWithoutAcquireIsFatal)
 {
-    Stack s(hmcStack());
+    Stack s(hwmodel::hmcStackParams());
     EXPECT_THROW(s.release(Owner::Cpu), FatalError);
 }
 
 TEST(TraceBuilder, InterleavesStreamsProportionally)
 {
-    DramParams p = hmcStack();
+    DramParams p = hwmodel::hmcStackParams();
     TraceBuilder tb(p, 64_MiB);
     tb.addLinear(0, 64_KiB, false);
     tb.addLinear(1_MiB, 64_KiB, true);
@@ -247,7 +248,7 @@ TEST(TraceBuilder, InterleavesStreamsProportionally)
 
 TEST(TraceBuilder, ScaleReflectsSampling)
 {
-    DramParams p = hmcStack();
+    DramParams p = hwmodel::hmcStackParams();
     TraceBuilder tb(p, 1_MiB);
     tb.addLinear(0, 16_MiB, false);
     Trace t = tb.build();
@@ -257,7 +258,7 @@ TEST(TraceBuilder, ScaleReflectsSampling)
 
 TEST(TraceBuilder, StridedCoversRequestedChunks)
 {
-    DramParams p = hmcStack();
+    DramParams p = hwmodel::hmcStackParams();
     TraceBuilder tb(p, 64_MiB);
     tb.addStrided(0, 64, 4096, 100, false);
     Trace t = tb.build();
@@ -270,7 +271,7 @@ TEST(TraceBuilder, StridedCoversRequestedChunks)
 
 TEST(TraceBuilder, GatherStaysInRegion)
 {
-    DramParams p = hmcStack();
+    DramParams p = hwmodel::hmcStackParams();
     TraceBuilder tb(p, 64_MiB);
     Rng rng(9);
     tb.addGather(4096, 8192, 1000, 4, false, rng);
@@ -279,49 +280,6 @@ TEST(TraceBuilder, GatherStaysInRegion)
         EXPECT_GE(r.addr, 4096u);
         EXPECT_LT(r.addr + r.bytes, 4096u + 8192u + p.timing.burstBytes);
     }
-}
-
-TEST(TraceIo, RoundTripsExactly)
-{
-    DramParams p = hmcStack();
-    TraceBuilder tb(p, 1_MiB);
-    tb.addLinear(0, 256_KiB, false);
-    tb.addLinear(1_MiB, 128_KiB, true);
-    Trace t = tb.build();
-    Trace back = readTrace(writeTrace(t));
-    ASSERT_EQ(back.requests.size(), t.requests.size());
-    EXPECT_EQ(back.sampledBytes, t.sampledBytes);
-    EXPECT_EQ(back.totalBytes, t.totalBytes);
-    for (std::size_t i = 0; i < t.requests.size(); ++i) {
-        EXPECT_EQ(back.requests[i].addr, t.requests[i].addr);
-        EXPECT_EQ(back.requests[i].bytes, t.requests[i].bytes);
-        EXPECT_EQ(back.requests[i].isWrite, t.requests[i].isWrite);
-    }
-}
-
-TEST(TraceIo, ReplayedTraceSimulatesIdentically)
-{
-    DramParams p = hmcStack();
-    Stack s(p);
-    TraceBuilder tb(p, 1_MiB);
-    tb.addLinear(0, 512_KiB, false);
-    Trace t = tb.build();
-    RunStats direct = s.run(t);
-    RunStats replay = s.run(readTrace(writeTrace(t)));
-    EXPECT_DOUBLE_EQ(replay.seconds, direct.seconds);
-    EXPECT_DOUBLE_EQ(replay.energyJ, direct.energyJ);
-}
-
-TEST(TraceIo, MalformedInputIsFatal)
-{
-    EXPECT_THROW(readTrace(""), FatalError);
-    EXPECT_THROW(readTrace("R 0 32\n"), FatalError); // no header
-    EXPECT_THROW(readTrace("# mealib-trace sampled=1 total=1\n"
-                           "X 0 32\n"),
-                 FatalError);
-    EXPECT_THROW(readTrace("# mealib-trace sampled=1 total=1\n"
-                           "R 0 0\n"),
-                 FatalError);
 }
 
 } // namespace

@@ -4,6 +4,7 @@
 
 #include "common/logging.hh"
 #include "host/cpu.hh"
+#include "hwmodel/profile.hh"
 
 namespace mealib::host {
 namespace {
@@ -22,7 +23,7 @@ streamingProfile(double bytes)
 
 TEST(CpuParams, HaswellMatchesPaperFootnote)
 {
-    CpuParams p = haswell4770k();
+    CpuParams p = hwmodel::haswell4770kParams();
     // Footnote 1: 112 GFLOPS peak at 3.5 GHz, 25.6 GB/s.
     EXPECT_NEAR(p.peakFlops(), 112e9, 1e9);
     EXPECT_NEAR(p.memBandwidth, 25.6e9, 1e6);
@@ -30,7 +31,7 @@ TEST(CpuParams, HaswellMatchesPaperFootnote)
 
 TEST(CpuModel, MemoryBoundKernelPinnedAtBandwidth)
 {
-    CpuModel m(haswell4770k());
+    CpuModel m(hwmodel::haswell4770kParams());
     Cost c = m.run(streamingProfile(1e9));
     double bw = 1e9 / c.seconds;
     // Achieved bandwidth must sit at memEff * peak, not at the flops
@@ -40,7 +41,7 @@ TEST(CpuModel, MemoryBoundKernelPinnedAtBandwidth)
 
 TEST(CpuModel, ComputeBoundKernelPinnedAtFlops)
 {
-    CpuModel m(haswell4770k());
+    CpuModel m(hwmodel::haswell4770kParams());
     KernelProfile p;
     p.name = "gemm-ish";
     p.flops = 1e11;
@@ -54,7 +55,7 @@ TEST(CpuModel, ComputeBoundKernelPinnedAtFlops)
 TEST(CpuModel, HaswellStreamingPowerNearMeasured)
 {
     // The paper reports ~48 W package power for the FFT run on Haswell.
-    CpuModel m(haswell4770k());
+    CpuModel m(hwmodel::haswell4770kParams());
     Cost c = m.run(streamingProfile(4e9));
     EXPECT_GT(c.watts(), 30.0);
     EXPECT_LT(c.watts(), 60.0);
@@ -62,8 +63,8 @@ TEST(CpuModel, HaswellStreamingPowerNearMeasured)
 
 TEST(CpuModel, PhiBurnsMorePowerThanHaswell)
 {
-    CpuModel hw(haswell4770k());
-    CpuModel phi(xeonPhi5110p());
+    CpuModel hw(hwmodel::haswell4770kParams());
+    CpuModel phi(hwmodel::xeonPhi5110pParams());
     KernelProfile p = streamingProfile(4e9);
     Cost chw = hw.run(p);
     Cost cphi = phi.run(p);
@@ -73,7 +74,7 @@ TEST(CpuModel, PhiBurnsMorePowerThanHaswell)
 
 TEST(CpuModel, AmdahlLimitsSerialKernels)
 {
-    CpuModel m(haswell4770k());
+    CpuModel m(hwmodel::haswell4770kParams());
     KernelProfile par;
     par.flops = 1e10;
     par.bytesRead = 1.0;
@@ -87,7 +88,7 @@ TEST(CpuModel, AmdahlLimitsSerialKernels)
 
 TEST(CpuModel, CallOverheadAdds)
 {
-    CpuModel m(haswell4770k());
+    CpuModel m(hwmodel::haswell4770kParams());
     KernelProfile p = streamingProfile(1e6);
     double t0 = m.run(p).seconds;
     p.callOverheads = 1e-3;
@@ -97,7 +98,7 @@ TEST(CpuModel, CallOverheadAdds)
 
 TEST(CpuModel, FlushCostScalesWithDirtyBytesUpToLlc)
 {
-    CpuModel m(haswell4770k());
+    CpuModel m(hwmodel::haswell4770kParams());
     Cost small = m.flushCost(64_KiB);
     Cost large = m.flushCost(8_MiB);
     Cost huge = m.flushCost(1_GiB); // clamped at LLC capacity
@@ -108,7 +109,7 @@ TEST(CpuModel, FlushCostScalesWithDirtyBytesUpToLlc)
 
 TEST(CpuModel, IdleCostIsBackgroundOnly)
 {
-    CpuModel m(haswell4770k());
+    CpuModel m(hwmodel::haswell4770kParams());
     Cost c = m.idleCost(1.0);
     EXPECT_DOUBLE_EQ(c.seconds, 1.0);
     // Idle watts should be near idleW plus DRAM background.
@@ -118,7 +119,7 @@ TEST(CpuModel, IdleCostIsBackgroundOnly)
 
 TEST(CpuModel, InvalidProfileIsFatal)
 {
-    CpuModel m(haswell4770k());
+    CpuModel m(hwmodel::haswell4770kParams());
     KernelProfile p = streamingProfile(1e6);
     p.simdEff = 0.0;
     EXPECT_THROW(m.run(p), FatalError);
@@ -129,7 +130,7 @@ TEST(CpuModel, InvalidProfileIsFatal)
 
 TEST(CpuModel, MemBoundStallsReducePower)
 {
-    CpuModel m(haswell4770k());
+    CpuModel m(hwmodel::haswell4770kParams());
     KernelProfile mem = streamingProfile(1e9);
     KernelProfile cmp;
     cmp.flops = 14e9; // ~same runtime as the 1 GB stream, compute-bound

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the unified hardware-model registry (src/hwmodel): profile
- * lookup and aliases, active-machine selection, forwarder equivalence
- * of the legacy per-layer factories, the dispatch-vs-host drift pin
+ * lookup and aliases, active-machine selection, equality of each
+ * profile field with its preset builder, the dispatch-vs-host drift pin
  * (both must price a kernel from the same profile, identically), and
  * the golden modeled time/energy pins that freeze the default profile's
  * Table 2/3/5 behaviour across refactors.
@@ -83,35 +83,23 @@ TEST(Registry, SetActiveMachineRefusesWhilePinned)
     EXPECT_TRUE(hwmodel::setActiveMachine("haswell4770k").ok());
 }
 
-TEST(Registry, LegacyFactoriesForwardToRegistry)
+TEST(Registry, PresetBuildersMatchProfileFields)
 {
-    // The per-layer factories are thin forwarders; any drift would mean
-    // a Table 3 constant re-materialized outside src/hwmodel.
-    host::CpuParams hc = host::haswell4770k();
-    const host::CpuParams &rc = hwmodel::profile("haswell4770k").cpu;
-    EXPECT_EQ(hc.name, rc.name);
-    EXPECT_DOUBLE_EQ(hc.freq, rc.freq);
-    EXPECT_EQ(hc.cores, rc.cores);
-    EXPECT_DOUBLE_EQ(hc.idleW, rc.idleW);
-    EXPECT_DOUBLE_EQ(hc.perCoreActiveW, rc.perCoreActiveW);
-
-    host::CpuParams pc = host::xeonPhi5110p();
-    EXPECT_EQ(pc.name, hwmodel::profile("phi").cpu.name);
-    EXPECT_DOUBLE_EQ(pc.freq, hwmodel::profile("phi").cpu.freq);
-
-    dram::DramParams hmc = dram::hmcStack();
-    const dram::DramParams &rh =
-        hwmodel::profile("haswell4770k").stackDram;
-    EXPECT_EQ(hmc.name, rh.name);
-    EXPECT_EQ(hmc.org.numVaults, rh.org.numVaults);
-    EXPECT_DOUBLE_EQ(hmc.energy.readJPerByte, rh.energy.readJPerByte);
-    EXPECT_DOUBLE_EQ(hmc.org.linkBandwidth, rh.org.linkBandwidth);
-
-    noc::MeshParams mesh = noc::mealibMesh();
-    const noc::MeshParams &rm = hwmodel::profile("haswell4770k").mesh;
-    EXPECT_EQ(mesh.width, rm.width);
-    EXPECT_EQ(mesh.height, rm.height);
-    EXPECT_DOUBLE_EQ(mesh.energyPerByteHop, rm.energyPerByteHop);
+    // The preset builders are the one spelling of the Table 3 / CACTI
+    // constants; a profile field that differs from its builder in any
+    // member would be a constant re-materialized somewhere else.
+    const hwmodel::MachineProfile &hw = hwmodel::profile("haswell4770k");
+    const hwmodel::MachineProfile &phi = hwmodel::profile("xeonphi5110p");
+    EXPECT_TRUE(hw.cpu == hwmodel::haswell4770kParams());
+    EXPECT_TRUE(phi.cpu == hwmodel::xeonPhi5110pParams());
+    for (const hwmodel::MachineProfile *m : {&hw, &phi}) {
+        EXPECT_TRUE(m->stackDram == hwmodel::hmcStackParams());
+        EXPECT_TRUE(m->mesh == hwmodel::mealibMeshParams());
+    }
+    // Equality is member-wise: one changed constant breaks it.
+    dram::DramParams moved = hwmodel::hmcStackParams();
+    moved.energy.tsvJPerByte *= 2.0;
+    EXPECT_FALSE(moved == hw.stackDram);
 }
 
 TEST(Registry, ProfilesDifferWhereTheyShould)
@@ -273,8 +261,8 @@ TEST(GoldenPins, Table5PowerAndArea)
     for (int k = 0; k < 7; ++k) {
         AccelKind kind = static_cast<AccelKind>(k);
         accel::AccelConfig cfg = accel::defaultConfig(kind);
-        accel::AccelModel model(kind, cfg, dram::hmcStack(),
-                                noc::mealibMesh());
+        accel::AccelModel model(kind, cfg, hwmodel::hmcStackParams(),
+                                hwmodel::mealibMeshParams());
         eval::Workload w = eval::table2Workload(kind, 1.0 / 16.0);
         accel::AccelEstimate e = model.estimate(w.call, w.loop);
         EXPECT_NEAR(e.powerW(), golden_power[k],

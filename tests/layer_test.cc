@@ -7,6 +7,7 @@
 #include "common/logging.hh"
 #include "dram/params.hh"
 #include "dram/physmem.hh"
+#include "hwmodel/profile.hh"
 #include "noc/mesh.hh"
 
 namespace mealib::accel {
@@ -41,7 +42,7 @@ class LayerTest : public ::testing::Test
 {
   protected:
     LayerTest()
-        : layer_(dram::hmcStack(), noc::mealibMesh(),
+        : layer_(hwmodel::hmcStackParams(), hwmodel::mealibMeshParams(),
                  /*functional=*/false),
           mem_(1_MiB)
     {
@@ -162,8 +163,8 @@ TEST_F(LayerTest, CostOnlyModeNeverTouchesMemory)
 
 TEST_F(LayerTest, FunctionalModeChecksBounds)
 {
-    AcceleratorLayer functional(dram::hmcStack(), noc::mealibMesh(),
-                                true);
+    AcceleratorLayer functional(hwmodel::hmcStackParams(),
+                                hwmodel::mealibMeshParams(), true);
     DescriptorProgram prog;
     prog.addComp(fftCall(3_GiB, 2_GiB, 1 << 20)); // outside backing
     prog.addPassEnd();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "hwmodel/profile.hh"
 #include "noc/mesh.hh"
 
 namespace mealib::noc {
@@ -10,7 +11,7 @@ namespace {
 
 TEST(Mesh, HopCountsXy)
 {
-    Mesh m(mealibMesh()); // 8x4
+    Mesh m(hwmodel::mealibMeshParams()); // 8x4
     EXPECT_EQ(m.hops(0, 0), 0u);
     EXPECT_EQ(m.hops(0, 7), 7u);   // across one row
     EXPECT_EQ(m.hops(0, 24), 3u);  // down one column
@@ -20,13 +21,13 @@ TEST(Mesh, HopCountsXy)
 
 TEST(Mesh, HopsOutOfRangeIsFatal)
 {
-    Mesh m(mealibMesh());
+    Mesh m(hwmodel::mealibMeshParams());
     EXPECT_THROW(m.hops(0, 32), FatalError);
 }
 
 TEST(Mesh, TransferTimeGrowsWithBytesAndHops)
 {
-    Mesh m(mealibMesh());
+    Mesh m(hwmodel::mealibMeshParams());
     double near_small = m.transferSeconds(0, 1, 64);
     double near_big = m.transferSeconds(0, 1, 64_KiB);
     double far_small = m.transferSeconds(0, 31, 64);
@@ -36,13 +37,13 @@ TEST(Mesh, TransferTimeGrowsWithBytesAndHops)
 
 TEST(Mesh, ZeroBytesIsFree)
 {
-    Mesh m(mealibMesh());
+    Mesh m(hwmodel::mealibMeshParams());
     EXPECT_DOUBLE_EQ(m.transferSeconds(0, 31, 0), 0.0);
 }
 
 TEST(Mesh, EnergyProportionalToBytesTimesHops)
 {
-    Mesh m(mealibMesh());
+    Mesh m(hwmodel::mealibMeshParams());
     double e1 = m.transferJoules(1, 1024);
     double e2 = m.transferJoules(2, 1024);
     double e3 = m.transferJoules(1, 2048);
@@ -52,7 +53,7 @@ TEST(Mesh, EnergyProportionalToBytesTimesHops)
 
 TEST(Mesh, Table5PowerAndArea)
 {
-    Mesh m(mealibMesh());
+    Mesh m(hwmodel::mealibMeshParams());
     // Table 5: NoC (router + link) 0.095 W and 1.44 mm^2.
     EXPECT_NEAR(m.leakageW(), 0.095, 0.001);
     EXPECT_NEAR(m.areaMm2(), 1.44, 0.01);
@@ -60,7 +61,7 @@ TEST(Mesh, Table5PowerAndArea)
 
 TEST(Mesh, ReductionCostPositiveAndBounded)
 {
-    Mesh m(mealibMesh());
+    Mesh m(hwmodel::mealibMeshParams());
     Cost c = m.reduceToTile0(64);
     EXPECT_GT(c.seconds, 0.0);
     EXPECT_GT(c.joules, 0.0);
@@ -70,7 +71,7 @@ TEST(Mesh, ReductionCostPositiveAndBounded)
 
 TEST(Mesh, BadConfigIsFatal)
 {
-    MeshParams p = mealibMesh();
+    MeshParams p = hwmodel::mealibMeshParams();
     p.width = 0;
     EXPECT_THROW(Mesh{p}, FatalError);
 }

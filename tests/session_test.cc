@@ -20,7 +20,6 @@
 #include "apps/stap.hh"
 #include "common/logging.hh"
 #include "dispatch/dispatcher.hh"
-#include "dispatch/ops.hh"
 #include "hwmodel/profile.hh"
 #include "minimkl/compat.hh"
 #include "runtime/runtime.hh"

@@ -196,88 +196,5 @@ TEST(Scsrmv, LinearityProperty)
         EXPECT_NEAR(ys[i], y1[i] + y2[i], 1e-4f);
 }
 
-TEST(MatrixMarket, ParsesGeneralRealMatrix)
-{
-    const char *mtx =
-        "%%MatrixMarket matrix coordinate real general\n"
-        "% a comment\n"
-        "2 3 3\n"
-        "1 1 2.5\n"
-        "2 3 -1.0\n"
-        "1 2 4\n";
-    CsrMatrix m = readMatrixMarket(mtx);
-    m.validate();
-    EXPECT_EQ(m.rows, 2);
-    EXPECT_EQ(m.cols, 3);
-    EXPECT_EQ(m.nnz(), 3);
-    EXPECT_FLOAT_EQ(m.vals[0], 2.5f);
-    EXPECT_EQ(m.colIdx[1], 1);
-    EXPECT_FLOAT_EQ(m.vals[2], -1.0f);
-}
-
-TEST(MatrixMarket, SymmetricExpandsMirrorEntries)
-{
-    const char *mtx =
-        "%%MatrixMarket matrix coordinate real symmetric\n"
-        "3 3 2\n"
-        "2 1 5.0\n"
-        "3 3 1.0\n";
-    CsrMatrix m = readMatrixMarket(mtx);
-    m.validate();
-    EXPECT_EQ(m.nnz(), 3); // (2,1), (1,2) mirror, (3,3) diagonal once
-}
-
-TEST(MatrixMarket, PatternFieldDefaultsToOne)
-{
-    const char *mtx =
-        "%%MatrixMarket matrix coordinate pattern general\n"
-        "2 2 2\n"
-        "1 1\n"
-        "2 2\n";
-    CsrMatrix m = readMatrixMarket(mtx);
-    EXPECT_FLOAT_EQ(m.vals[0], 1.0f);
-    EXPECT_FLOAT_EQ(m.vals[1], 1.0f);
-}
-
-TEST(MatrixMarket, RoundTripsThroughWriter)
-{
-    Rng rng(31);
-    CsrMatrix a = randomGeometricGraph(300, 6.0, rng);
-    CsrMatrix b = readMatrixMarket(writeMatrixMarket(a));
-    ASSERT_EQ(b.nnz(), a.nnz());
-    EXPECT_EQ(b.rowPtr, a.rowPtr);
-    EXPECT_EQ(b.colIdx, a.colIdx);
-    for (std::size_t i = 0; i < a.vals.size(); ++i)
-        EXPECT_NEAR(b.vals[i], a.vals[i], 1e-5f);
-}
-
-TEST(MatrixMarket, MalformedInputIsFatal)
-{
-    EXPECT_THROW(readMatrixMarket(""), FatalError);
-    EXPECT_THROW(readMatrixMarket("%%MatrixMarket matrix array real "
-                                  "general\n2 2\n"),
-                 FatalError);
-    EXPECT_THROW(readMatrixMarket("%%MatrixMarket matrix coordinate "
-                                  "real general\n2 2 1\n5 5 1.0\n"),
-                 FatalError);
-    EXPECT_THROW(readMatrixMarket("%%MatrixMarket matrix coordinate "
-                                  "real general\n2 2 2\n1 1 1.0\n"),
-                 FatalError);
-}
-
-TEST(MatrixMarket, SpmvOnParsedMatrixMatchesGenerator)
-{
-    Rng rng(37);
-    CsrMatrix a = randomGeometricGraph(200, 5.0, rng);
-    CsrMatrix b = readMatrixMarket(writeMatrixMarket(a));
-    std::vector<float> x(200), ya(200), yb(200);
-    for (auto &v : x)
-        v = rng.uniform(-1.0f, 1.0f);
-    scsrmv(a, x.data(), ya.data());
-    scsrmv(b, x.data(), yb.data());
-    for (std::size_t i = 0; i < 200; ++i)
-        EXPECT_NEAR(ya[i], yb[i], 1e-4f);
-}
-
 } // namespace
 } // namespace mealib::mkl

@@ -229,18 +229,5 @@ TEST(Codegen, EncodesAndDecodes)
     EXPECT_EQ(back.expandedCompCount(), d.expandedCompCount());
 }
 
-TEST(Format, RoundTripsThroughParse)
-{
-    TdlProgram p = parse(kStapTdl);
-    std::string text = format(p);
-    TdlProgram q = parse(text);
-    ASSERT_EQ(q.items.size(), p.items.size());
-    EXPECT_EQ(q.items[0].pass.comps.size(),
-              p.items[0].pass.comps.size());
-    EXPECT_EQ(q.items[1].loop.loop.dims, p.items[1].loop.loop.dims);
-    EXPECT_EQ(q.items[1].loop.passes[0].comps[0].paramsFile,
-              p.items[1].loop.passes[0].comps[0].paramsFile);
-}
-
 } // namespace
 } // namespace mealib::tdl
