@@ -22,10 +22,11 @@
  *
  * Usage: ablation_reuse [--quick] [--seed=S] [--json=PATH] [--check]
  *
- * --check exits non-zero when a digest diverges, when a residency-on
- * cell elides zero flush bytes, or when the fully-enabled cell of any
- * chain length fails the >= 20% invocation-reduction bar on either
- * workload (the ISSUE acceptance gate; CI runs this).
+ * --check exits non-zero when a digest diverges, when any cell reuses
+ * no memoized descriptor image, when a residency-on cell elides zero
+ * flush bytes, or when the fully-enabled cell of any chain length fails
+ * the >= 20% invocation-reduction bar on either workload (the
+ * acceptance gate CI runs).
  */
 
 #include <cstdint>
@@ -350,6 +351,13 @@ main(int argc, char **argv)
             } else if (s.digest != digest) {
                 std::fprintf(stderr,
                              "FAIL: digest diverges at chain=%u "
+                             "window=%u residency=%d\n",
+                             chain, s.window, s.residency);
+                rc = 1;
+            }
+            if (s.planImageReuses == 0) {
+                std::fprintf(stderr,
+                             "FAIL: zero plan-image reuses at chain=%u "
                              "window=%u residency=%d\n",
                              chain, s.window, s.residency);
                 rc = 1;

@@ -339,134 +339,6 @@ decode(const std::uint8_t *data, std::size_t size)
     return prog;
 }
 
-namespace {
-
-/** FNV-1a accumulator for programHash(). */
-struct Fnv
-{
-    std::uint64_t h = 1469598103934665603ull;
-
-    void
-    u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h ^= static_cast<std::uint8_t>(v >> (8 * i));
-            h *= 1099511628211ull;
-        }
-    }
-
-    void
-    f32(float v)
-    {
-        std::uint32_t bits;
-        std::memcpy(&bits, &v, 4);
-        u64(bits);
-    }
-
-    void
-    operand(const OperandRef &o)
-    {
-        u64(o.base);
-        for (unsigned d = 0; d < kMaxLoopDims; ++d)
-            u64(static_cast<std::uint64_t>(o.stride[d]));
-    }
-};
-
-bool
-sameOperand(const OperandRef &a, const OperandRef &b)
-{
-    return a.base == b.base && a.stride == b.stride;
-}
-
-bool
-sameCall(const OpCall &a, const OpCall &b)
-{
-    // Float fields compare by bit pattern: the hash and encode() both
-    // work on the raw bits, so -0.0f vs 0.0f must not alias.
-    std::uint32_t aa, ab, ba, bb;
-    std::memcpy(&aa, &a.alpha, 4);
-    std::memcpy(&ba, &b.alpha, 4);
-    std::memcpy(&ab, &a.beta, 4);
-    std::memcpy(&bb, &b.beta, 4);
-    return a.kind == b.kind && a.n == b.n && a.m == b.m && a.k == b.k &&
-           a.inc0 == b.inc0 && a.inc1 == b.inc1 && aa == ba &&
-           ab == bb && a.complexData == b.complexData &&
-           a.conjugate == b.conjugate && a.fftDir == b.fftDir &&
-           a.resampleKind == b.resampleKind &&
-           sameOperand(a.in0, b.in0) && sameOperand(a.in1, b.in1) &&
-           sameOperand(a.in2, b.in2) && sameOperand(a.in3, b.in3) &&
-           sameOperand(a.out, b.out);
-}
-
-} // namespace
-
-std::uint64_t
-programHash(const DescriptorProgram &prog)
-{
-    Fnv f;
-    f.u64(prog.instrs.size());
-    for (const Instr &in : prog.instrs) {
-        f.u64(static_cast<std::uint64_t>(in.type));
-        switch (in.type) {
-          case Instr::Type::Comp: {
-            const OpCall &c = in.call;
-            f.u64(static_cast<std::uint64_t>(c.kind));
-            f.u64(c.n);
-            f.u64(c.m);
-            f.u64(c.k);
-            f.u64(static_cast<std::uint64_t>(c.inc0));
-            f.u64(static_cast<std::uint64_t>(c.inc1));
-            f.f32(c.alpha);
-            f.f32(c.beta);
-            f.u64((c.complexData ? 1u : 0u) | (c.conjugate ? 2u : 0u));
-            f.u64(static_cast<std::uint64_t>(c.fftDir));
-            f.u64(c.resampleKind);
-            f.operand(c.in0);
-            f.operand(c.in1);
-            f.operand(c.in2);
-            f.operand(c.in3);
-            f.operand(c.out);
-            break;
-          }
-          case Instr::Type::Loop:
-            for (unsigned d = 0; d < kMaxLoopDims; ++d)
-                f.u64(in.loop.dims[d]);
-            f.u64(in.bodyCount);
-            break;
-          case Instr::Type::PassEnd:
-            break;
-        }
-    }
-    return f.h;
-}
-
-bool
-sameProgram(const DescriptorProgram &a, const DescriptorProgram &b)
-{
-    if (a.instrs.size() != b.instrs.size())
-        return false;
-    for (std::size_t i = 0; i < a.instrs.size(); ++i) {
-        const Instr &x = a.instrs[i];
-        const Instr &y = b.instrs[i];
-        if (x.type != y.type)
-            return false;
-        switch (x.type) {
-          case Instr::Type::Comp:
-            if (!sameCall(x.call, y.call))
-                return false;
-            break;
-          case Instr::Type::Loop:
-            if (x.loop.dims != y.loop.dims ||
-                x.bodyCount != y.bodyCount)
-                return false;
-            break;
-          case Instr::Type::PassEnd:
-            break;
-        }
-    }
-    return true;
-}
-
 Command
 readCommand(const std::uint8_t *image, std::size_t size)
 {

@@ -156,17 +156,6 @@ DescriptorProgram decode(const std::uint8_t *data, std::size_t size);
 Command readCommand(const std::uint8_t *image, std::size_t size);
 void writeCommand(std::uint8_t *image, std::size_t size, Command cmd);
 
-/**
- * Content hash of @p prog over every field that encode() serializes
- * (FNV-1a). Two programs with equal hashes encode to the same image
- * modulo astronomically unlikely collisions; callers memoizing encoded
- * images guard hash hits with sameProgram().
- */
-std::uint64_t programHash(const DescriptorProgram &prog);
-
-/** Field-wise equality of two programs (the collision guard). */
-bool sameProgram(const DescriptorProgram &a, const DescriptorProgram &b);
-
 } // namespace mealib::accel
 
 #endif // MEALIB_ACCEL_DESCRIPTOR_HH

@@ -163,8 +163,9 @@ double operandIterations(const OperandRef &op, const LoopSpec &loop);
 /**
  * Reuse-aware DRAM traffic of @p call iterated over @p loop: each
  * operand's per-iteration bytes are multiplied only by the loop
- * dimensions that move it. Equals trafficBytes() * iterations when
- * every operand strides through every dimension.
+ * dimensions that move it. When every operand strides through every
+ * dimension it equals trafficBytes() * iterations, except for DOT,
+ * which also counts the output element trafficBytes() leaves out.
  */
 double loopedTrafficBytes(const OpCall &call, const LoopSpec &loop);
 

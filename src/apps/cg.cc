@@ -6,7 +6,6 @@
 #include "common/logging.hh"
 #include "dispatch/dispatcher.hh"
 #include "dispatch/opdesc.hh"
-#include "minimkl/blas1.hh"
 #include "minimkl/compat.hh"
 
 namespace mealib::apps {
@@ -195,13 +194,14 @@ solveCgMealib(const mkl::CsrMatrix &a, const std::vector<float> &b,
         rt.accDestroy(h);
     };
 
+    const int len = static_cast<int>(n);
     double bnorm = std::sqrt(static_cast<double>(
-        mkl::sdot(n, b.data(), 1, b.data(), 1)));
+        cblas_sdot(len, b.data(), 1, b.data(), 1)));
     if (bnorm == 0.0) {
         res.converged = true;
         res.x.assign(b.size(), 0.0f);
     }
-    double rs = mkl::sdot(n, r, 1, r, 1);
+    double rs = cblas_sdot(len, r, 1, r, 1);
 
     for (unsigned it = 0; !res.converged && it < opts.maxIterations;
          ++it) {

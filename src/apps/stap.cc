@@ -8,7 +8,6 @@
 #include "dispatch/models.hh"
 #include "hwmodel/profile.hh"
 #include "minimkl/compat.hh"
-#include "minimkl/fft.hh"
 
 namespace mealib::apps {
 
@@ -364,11 +363,18 @@ runStapHost(const StapParams &p)
             reinterpret_cast<MKL_Complex8 *>(mid.data() + ch * chan_elems),
             p.nDop);
     }
-    mkl::FftPlan::dft1dBatched(p.nDop,
-                               static_cast<std::int64_t>(p.nChan) *
-                                   p.nRange(),
-                               p.nDop, mkl::FftDirection::Forward)
-        .execute(mid.data(), doppler.data());
+    // Listing 1's doppler FFT: nDop-point transforms over every
+    // (channel, range) row of the pulse-major cube.
+    const int nDop = static_cast<int>(p.nDop);
+    const fftwf_iodim dft{nDop, 1, 1};
+    const fftwf_iodim rows{static_cast<int>(p.nChan * p.nRange()), nDop,
+                           nDop};
+    fftwf_plan fft = fftwf_plan_guru_dft(
+        1, &dft, 1, &rows, reinterpret_cast<fftwf_complex *>(mid.data()),
+        reinterpret_cast<fftwf_complex *>(doppler.data()), FFTW_FORWARD,
+        FFTW_ESTIMATE);
+    fftwf_execute(fft);
+    fftwf_destroy_plan(fft);
 
     std::vector<cfloat> snap(p.dotCalls() / p.nSteering * l);
     buildSnapshots(p, doppler.data(), snap.data());

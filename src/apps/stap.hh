@@ -12,11 +12,13 @@
  *   5. cblas_cdotc_sub: nDop*nBlocks*nSteering*TBS inner products [DOT]
  *   6. cblas_saxpy:  output scaling                               [AXPY]
  *
- * runStapHost() executes everything through MiniMKL on the host model
- * (the paper's optimized multithreaded baseline); runStapMealib() routes
- * the memory-bounded calls through accelerator descriptors — compacted
- * into 3 descriptors exactly as the paper reports (Sec. 5.5) — while
- * cherk/ctrsm stay on the host. Both produce identical numerical output.
+ * runStapHost() makes every call through the MKL/FFTW-signature shims
+ * (the doppler FFT enters through fftwf_execute), so each dispatches
+ * once, and runs on the host model (the paper's optimized multithreaded
+ * baseline); runStapMealib() routes the memory-bounded calls through
+ * accelerator descriptors — compacted into 3 descriptors exactly as the
+ * paper reports (Sec. 5.5) — while cherk/ctrsm stay on the host. Both
+ * produce identical numerical output.
  */
 
 #ifndef MEALIB_APPS_STAP_HH

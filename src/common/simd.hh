@@ -99,8 +99,6 @@ struct Kernels
     /** slassq-style partial: scale = max|x|, ssq = sum (x/scale)^2 */
     void (*slassq)(std::int64_t n, const float *x, double *scale,
                    double *ssq);
-    /** lowest index of max |x[i]| (first-strictly-greater-wins) */
-    std::int64_t (*isamax)(std::int64_t n, const float *x);
     /**
      * Complex dot over n interleaved elements: conj(x).y when @p conjx,
      * else x.y, accumulated in 4 complex f64 lanes.

@@ -231,10 +231,4 @@ currentDispatcher()
     return tlDispatcher != nullptr ? *tlDispatcher : Dispatcher::global();
 }
 
-bool
-hasBoundDispatcher()
-{
-    return tlDispatcher != nullptr;
-}
-
 } // namespace mealib::dispatch

@@ -139,9 +139,6 @@ Dispatcher *bindCurrentDispatcher(Dispatcher *dispatcher);
 /** The calling thread's dispatcher: its binding, else global(). */
 Dispatcher &currentDispatcher();
 
-/** Whether the calling thread has an explicit dispatcher binding. */
-bool hasBoundDispatcher();
-
 } // namespace mealib::dispatch
 
 #endif // MEALIB_DISPATCH_DISPATCHER_HH

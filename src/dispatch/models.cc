@@ -50,9 +50,26 @@ RooflineCostModel::RooflineCostModel(
 RooflineCostModel::Key
 RooflineCostModel::keyOf(const OpDesc &desc, unsigned window)
 {
-    return {static_cast<std::uint8_t>(desc.kind), desc.call.n,
-            desc.call.m, desc.call.k, desc.call.complexData,
-            desc.loop.iterations(), window};
+    const accel::OpCall &c = desc.call;
+    // Loop reuse: which loop dimensions advance each operand.
+    std::uint32_t moving = 0;
+    unsigned bit = 0;
+    for (const accel::OperandRef *op : {&c.in0, &c.in1, &c.in2, &c.in3,
+                                        &c.out})
+        for (unsigned d = 0; d < accel::kMaxLoopDims; ++d, ++bit)
+            if (op->stride[d] != 0)
+                moving |= 1u << bit;
+    return {static_cast<std::uint8_t>(desc.kind),
+            c.n,
+            c.m,
+            c.k,
+            c.complexData,
+            c.resampleKind,
+            desc.loop.dims,
+            moving,
+            desc.flopsOverride,
+            desc.bytesOverride,
+            window};
 }
 
 double
@@ -107,15 +124,15 @@ RooflineCostModel::accelSeconds(const OpDesc &desc) const
     if (!desc.accelSupported || !accelerable(desc.kind))
         return std::numeric_limits<double>::infinity();
 
-    unsigned window = 1;
+    Key key{};
     {
         std::lock_guard<std::mutex> lock(mu_);
-        window = fusionWindow_;
-        auto it = accelCache_.find(keyOf(desc, window));
+        key = keyOf(desc, fusionWindow_);
+        auto it = accelCache_.find(key);
         if (it != accelCache_.end())
             return it->second;
     }
-    Key key = keyOf(desc, window);
+    const unsigned window = key.window;
 
     accel::AccelEstimate e = accel::estimate(
         desc.call, desc.loop, machine_.stackDram, machine_.mesh);

@@ -15,9 +15,10 @@
 #ifndef MEALIB_DISPATCH_MODELS_HH
 #define MEALIB_DISPATCH_MODELS_HH
 
+#include <array>
+#include <compare>
 #include <map>
 #include <mutex>
-#include <tuple>
 
 #include "dispatch/policy.hh"
 #include "host/cpu.hh"
@@ -73,10 +74,21 @@ class RooflineCostModel final : public CostModel
         hwmodel::kHandshakeSeconds;
 
   private:
-    /** (kind, n, m, k, complex, iterations, fusionWindow). The machine
-     * is per-instance, so it needs no key slot. */
-    using Key = std::tuple<std::uint8_t, std::uint64_t, std::uint64_t,
-                           std::uint64_t, bool, std::uint64_t, unsigned>;
+    /** Every field an estimate reads, plus the fusion window. The
+     * machine is per-instance, so it needs no key slot. */
+    struct Key
+    {
+        std::uint8_t kind;
+        std::uint64_t n, m, k;
+        bool complexData;
+        std::uint32_t resampleKind;
+        std::array<std::uint32_t, accel::kMaxLoopDims> dims;
+        std::uint32_t moving; //!< bit 4*operand+dim: that stride != 0
+        double flopsOverride, bytesOverride;
+        unsigned window;
+
+        auto operator<=>(const Key &) const = default;
+    };
     static Key keyOf(const OpDesc &desc, unsigned window);
 
     const hwmodel::MachineProfile &machine_;

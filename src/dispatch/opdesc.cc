@@ -50,14 +50,6 @@ accelerable(OpKind kind)
            static_cast<std::uint8_t>(AccelKind::kCount);
 }
 
-accel::AccelKind
-accelKindOf(OpKind kind)
-{
-    fatalIf(!accelerable(kind), "accelKindOf: ", name(kind),
-            " has no accelerator");
-    return static_cast<AccelKind>(kind);
-}
-
 OpKind
 opKindOf(accel::AccelKind kind)
 {

@@ -56,9 +56,6 @@ const char *name(OpKind kind);
 /** Whether a Table-1 accelerator exists for @p kind. */
 bool accelerable(OpKind kind);
 
-/** The accelerator for an accelerable kind; fatal() otherwise. */
-accel::AccelKind accelKindOf(OpKind kind);
-
 /** OpKind for a Table-1 accelerator kind. */
 OpKind opKindOf(accel::AccelKind kind);
 

@@ -8,12 +8,6 @@
 
 namespace mealib::dispatch {
 
-const char *
-name(Backend backend)
-{
-    return backend == Backend::Host ? "host" : "accel";
-}
-
 Backend
 CrossoverModel::decide(const OpDesc &desc, const CostModel *costs)
 {

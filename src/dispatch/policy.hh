@@ -33,9 +33,6 @@ enum class Backend : std::uint8_t
     Accel,
 };
 
-/** Printable backend name ("host" / "accel"). */
-const char *name(Backend backend);
-
 /**
  * Cost oracle a policy may consult: modeled seconds for one call on
  * either side. accelSeconds() includes the invocation overhead (cache

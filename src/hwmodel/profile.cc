@@ -182,12 +182,6 @@ profile(const std::string &name)
     return *p;
 }
 
-bool
-knownMachine(const std::string &name)
-{
-    return lookup(name) != nullptr;
-}
-
 std::vector<std::string>
 profileNames()
 {
@@ -243,13 +237,6 @@ unpinActiveMachine()
     std::lock_guard<std::mutex> lock(activeMu);
     fatalIf(activePins <= 0, "unpinActiveMachine without a pin");
     --activePins;
-}
-
-int
-activeMachinePins()
-{
-    std::lock_guard<std::mutex> lock(activeMu);
-    return activePins;
 }
 
 } // namespace mealib::hwmodel

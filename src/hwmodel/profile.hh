@@ -100,9 +100,6 @@ struct MachineProfile
  */
 const MachineProfile &profile(const std::string &name);
 
-/** Whether @p name (canonical or alias) resolves to a profile. */
-bool knownMachine(const std::string &name);
-
 /** Canonical names of every registered profile. */
 std::vector<std::string> profileNames();
 
@@ -136,9 +133,6 @@ void pinActiveMachine();
 
 /** Release one pin taken with pinActiveMachine(). */
 void unpinActiveMachine();
-
-/** Outstanding pins (0 when no session is live). */
-int activeMachinePins();
 
 // --- preset parameter builders (the constants themselves) --------------
 

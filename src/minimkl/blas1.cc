@@ -235,45 +235,6 @@ sasum(std::int64_t n, const float *x, std::int64_t incx)
     return static_cast<float>(acc);
 }
 
-std::int64_t
-isamax(std::int64_t n, const float *x, std::int64_t incx)
-{
-    if (n <= 0)
-        return -1;
-    fatalIf(incx == 0, "isamax: zero stride");
-    struct Best
-    {
-        float v;
-        std::int64_t i;
-    };
-    const std::int64_t base = startIndex(n, incx);
-    const simd::Kernels *sk = incx == 1 ? &simd::active() : nullptr;
-    auto chunkBest = [&](std::int64_t b, std::int64_t e) {
-        if (sk) {
-            Best best;
-            best.i = b + sk->isamax(e - b, x + b);
-            best.v = std::fabs(x[best.i]);
-            return best;
-        }
-        Best best{std::fabs(x[base + b * incx]), b};
-        for (std::int64_t i = b + 1; i < e; ++i) {
-            float v = std::fabs(x[base + i * incx]);
-            if (v > best.v) {
-                best.v = v;
-                best.i = i;
-            }
-        }
-        return best;
-    };
-    // Combine keeps the left (lower-index) chunk on ties, matching the
-    // sequential "first strictly greater wins" semantics exactly.
-    const KernelTuning &t = kernelTuning();
-    Best best = deterministicReduce<Best>(
-        n, kReduceChunk, incx == 1 ? t.threadsFor(n) : 1, chunkBest,
-        [](const Best &a, const Best &b) { return b.v > a.v ? b : a; });
-    return best.i;
-}
-
 void
 caxpy(std::int64_t n, cfloat a, const cfloat *x, std::int64_t incx,
       cfloat *y, std::int64_t incy)

@@ -46,9 +46,6 @@ float snrm2(std::int64_t n, const float *x, std::int64_t incx);
 /** @return sum of absolute values of x. */
 float sasum(std::int64_t n, const float *x, std::int64_t incx);
 
-/** @return index of the element of maximum absolute value. */
-std::int64_t isamax(std::int64_t n, const float *x, std::int64_t incx);
-
 /** y := a*x + y (complex single precision). */
 void caxpy(std::int64_t n, cfloat a, const cfloat *x, std::int64_t incx,
            cfloat *y, std::int64_t incy);

@@ -20,16 +20,6 @@ void sgemv(Order order, Transpose trans, std::int64_t m, std::int64_t n,
            float alpha, const float *a, std::int64_t lda, const float *x,
            std::int64_t incx, float beta, float *y, std::int64_t incy);
 
-/** Complex single-precision GEMV (needed by complex pipelines). */
-void cgemv(Order order, Transpose trans, std::int64_t m, std::int64_t n,
-           cfloat alpha, const cfloat *a, std::int64_t lda, const cfloat *x,
-           std::int64_t incx, cfloat beta, cfloat *y, std::int64_t incy);
-
-/** Rank-1 update A := alpha*x*y^T + A (row-major unsupported dims fatal). */
-void sger(Order order, std::int64_t m, std::int64_t n, float alpha,
-          const float *x, std::int64_t incx, const float *y,
-          std::int64_t incy, float *a, std::int64_t lda);
-
 } // namespace mealib::mkl
 
 #endif // MEALIB_MINIMKL_BLAS2_HH

@@ -23,13 +23,6 @@ conjOf(cfloat v)
     return std::conj(v);
 }
 
-template <typename T>
-inline bool
-isZero(const T &v)
-{
-    return v == T{};
-}
-
 /** Element accessor for op(A) of a row-major stored matrix. */
 template <typename T>
 class OpView
@@ -69,33 +62,16 @@ class OpView
     bool conj_;
 };
 
-/** alpha*x + y row update through the active SIMD table. */
-inline void
-simdAxpyRow(const simd::Kernels &sk, std::int64_t n, float av,
-            const float *x, float *y)
-{
-    sk.saxpy(n, av, x, y);
-}
-
-inline void
-simdAxpyRow(const simd::Kernels &sk, std::int64_t n, cfloat av,
-            const cfloat *x, cfloat *y)
-{
-    sk.caxpy(n, av.real(), av.imag(), reinterpret_cast<const float *>(x),
-             reinterpret_cast<float *>(y));
-}
-
 /** Square blocking factor of the level-3 loops (gemm blocks, herk
  * k-panels). */
 constexpr std::int64_t kGemmBlock = 64;
 
 /** Row-major blocked GEMM core: C := alpha*op(A)*op(B) + beta*C. */
-template <typename T>
 void
 gemmRowMajor(Transpose transa, Transpose transb, std::int64_t m,
-             std::int64_t n, std::int64_t k, T alpha, const T *a,
-             std::int64_t lda, const T *b, std::int64_t ldb, T beta, T *c,
-             std::int64_t ldc)
+             std::int64_t n, std::int64_t k, float alpha, const float *a,
+             std::int64_t lda, const float *b, std::int64_t ldb, float beta,
+             float *c, std::int64_t ldc)
 {
     fatalIf(m < 0 || n < 0 || k < 0, "gemm: negative dimension");
     fatalIf(ldc < n && m > 0, "gemm: ldc too small");
@@ -107,20 +83,20 @@ gemmRowMajor(Transpose transa, Transpose transb, std::int64_t m,
 
     parallelFor(0, m, threads, 16, [&](std::int64_t rb, std::int64_t re) {
         for (std::int64_t i = rb; i < re; ++i) {
-            T *row = c + i * ldc;
-            if (isZero(beta)) {
-                std::fill(row, row + n, T{});
-            } else if (beta != T{1}) {
+            float *row = c + i * ldc;
+            if (beta == 0.0f) {
+                std::fill(row, row + n, 0.0f);
+            } else if (beta != 1.0f) {
                 for (std::int64_t j = 0; j < n; ++j)
                     row[j] *= beta;
             }
         }
     });
-    if (isZero(alpha) || k == 0)
+    if (alpha == 0.0f || k == 0)
         return;
 
-    OpView<T> A(a, lda, transa);
-    OpView<T> B(b, ldb, transb);
+    OpView<float> A(a, lda, transa);
+    OpView<float> B(b, ldb, transb);
 
     // i-k-j loop nest with square blocking: the kj inner loops stream
     // over rows of op(B) and C, which keeps the walk unit-stride when
@@ -142,14 +118,14 @@ gemmRowMajor(Transpose transa, Transpose transb, std::int64_t m,
                 for (std::int64_t jj = 0; jj < n; jj += BS) {
                     std::int64_t je = std::min(jj + BS, n);
                     for (std::int64_t i = ii; i < ie; ++i) {
-                        T *crow = c + i * ldc;
+                        float *crow = c + i * ldc;
                         for (std::int64_t p = kk; p < ke; ++p) {
-                            T av = alpha * A(i, p);
-                            if (isZero(av))
+                            float av = alpha * A(i, p);
+                            if (av == 0.0f)
                                 continue;
                             if (vecB) {
-                                simdAxpyRow(sk, je - jj, av,
-                                            B.rowPtr(p) + jj, crow + jj);
+                                sk.saxpy(je - jj, av, B.rowPtr(p) + jj,
+                                         crow + jj);
                                 continue;
                             }
                             for (std::int64_t j = jj; j < je; ++j)
@@ -270,11 +246,10 @@ cherkRowMajor(Uplo uplo, Transpose trans, std::int64_t n, std::int64_t k,
 }
 
 /** Row-major TRSM core. B is m x n; see header for semantics. */
-template <typename T>
 void
 trsmRowMajor(Side side, Uplo uplo, Transpose trans, Diag diag,
-             std::int64_t m, std::int64_t n, T alpha, const T *a,
-             std::int64_t lda, T *b, std::int64_t ldb)
+             std::int64_t m, std::int64_t n, cfloat alpha, const cfloat *a,
+             std::int64_t lda, cfloat *b, std::int64_t ldb)
 {
     fatalIf(m < 0 || n < 0, "trsm: negative dimension");
     if (m == 0 || n == 0)
@@ -283,7 +258,7 @@ trsmRowMajor(Side side, Uplo uplo, Transpose trans, Diag diag,
     std::int64_t adim = side == Side::Left ? m : n;
     fatalIf(lda < adim, "trsm: lda too small");
 
-    OpView<T> A(a, lda, trans);
+    OpView<cfloat> A(a, lda, trans);
     // Transposing a triangular matrix flips which triangle holds data.
     Uplo eff = trans == Transpose::NoTrans ? uplo : flipUplo(uplo);
     const bool unit = diag == Diag::Unit;
@@ -308,14 +283,14 @@ trsmRowMajor(Side side, Uplo uplo, Transpose trans, Diag diag,
             if (eff == Uplo::Lower) {
                 for (std::int64_t i = 0; i < m; ++i) {
                     for (std::int64_t p = 0; p < i; ++p) {
-                        T f = A(i, p);
-                        if (isZero(f))
+                        cfloat f = A(i, p);
+                        if (f == cfloat{})
                             continue;
                         for (std::int64_t j = jb; j < je; ++j)
                             b[i * ldb + j] -= f * b[p * ldb + j];
                     }
                     if (!unit) {
-                        T d = A(i, i);
+                        cfloat d = A(i, i);
                         for (std::int64_t j = jb; j < je; ++j)
                             b[i * ldb + j] /= d;
                     }
@@ -323,14 +298,14 @@ trsmRowMajor(Side side, Uplo uplo, Transpose trans, Diag diag,
             } else {
                 for (std::int64_t i = m - 1; i >= 0; --i) {
                     for (std::int64_t p = i + 1; p < m; ++p) {
-                        T f = A(i, p);
-                        if (isZero(f))
+                        cfloat f = A(i, p);
+                        if (f == cfloat{})
                             continue;
                         for (std::int64_t j = jb; j < je; ++j)
                             b[i * ldb + j] -= f * b[p * ldb + j];
                     }
                     if (!unit) {
-                        T d = A(i, i);
+                        cfloat d = A(i, i);
                         for (std::int64_t j = jb; j < je; ++j)
                             b[i * ldb + j] /= d;
                     }
@@ -344,9 +319,9 @@ trsmRowMajor(Side side, Uplo uplo, Transpose trans, Diag diag,
         auto rows = [&](std::int64_t rb, std::int64_t re) {
             if (eff == Uplo::Upper) {
                 for (std::int64_t r = rb; r < re; ++r) {
-                    T *row = b + r * ldb;
+                    cfloat *row = b + r * ldb;
                     for (std::int64_t j = 0; j < n; ++j) {
-                        T acc = row[j];
+                        cfloat acc = row[j];
                         for (std::int64_t p = 0; p < j; ++p)
                             acc -= row[p] * A(p, j);
                         row[j] = unit ? acc : acc / A(j, j);
@@ -354,9 +329,9 @@ trsmRowMajor(Side side, Uplo uplo, Transpose trans, Diag diag,
                 }
             } else {
                 for (std::int64_t r = rb; r < re; ++r) {
-                    T *row = b + r * ldb;
+                    cfloat *row = b + r * ldb;
                     for (std::int64_t j = n - 1; j >= 0; --j) {
-                        T acc = row[j];
+                        cfloat acc = row[j];
                         for (std::int64_t p = j + 1; p < n; ++p)
                             acc -= row[p] * A(p, j);
                         row[j] = unit ? acc : acc / A(j, j);
@@ -393,21 +368,6 @@ sgemm(Order order, Transpose transa, Transpose transb, std::int64_t m,
 }
 
 void
-cgemm(Order order, Transpose transa, Transpose transb, std::int64_t m,
-      std::int64_t n, std::int64_t k, cfloat alpha, const cfloat *a,
-      std::int64_t lda, const cfloat *b, std::int64_t ldb, cfloat beta,
-      cfloat *c, std::int64_t ldc)
-{
-    if (order == Order::RowMajor) {
-        gemmRowMajor(transa, transb, m, n, k, alpha, a, lda, b, ldb, beta,
-                     c, ldc);
-    } else {
-        gemmRowMajor(transb, transa, n, m, k, alpha, b, ldb, a, lda, beta,
-                     c, ldc);
-    }
-}
-
-void
 cherk(Order order, Uplo uplo, Transpose trans, std::int64_t n,
       std::int64_t k, float alpha, const cfloat *a, std::int64_t lda,
       float beta, cfloat *c, std::int64_t ldc)
@@ -434,21 +394,6 @@ ctrsm(Order order, Side side, Uplo uplo, Transpose trans, Diag diag,
     } else {
         // Column-major B is row-major B^T: flip the side and the
         // triangle, and swap the dimensions.
-        trsmRowMajor(flipSide(side), flipUplo(uplo), trans, diag, n, m,
-                     alpha, a, lda, b, ldb);
-    }
-}
-
-void
-strsm(Order order, Side side, Uplo uplo, Transpose trans, Diag diag,
-      std::int64_t m, std::int64_t n, float alpha, const float *a,
-      std::int64_t lda, float *b, std::int64_t ldb)
-{
-    fatalIf(trans == Transpose::ConjTrans,
-            "strsm: ConjTrans is meaningless for real matrices; use Trans");
-    if (order == Order::RowMajor) {
-        trsmRowMajor(side, uplo, trans, diag, m, n, alpha, a, lda, b, ldb);
-    } else {
         trsmRowMajor(flipSide(side), flipUplo(uplo), trans, diag, n, m,
                      alpha, a, lda, b, ldb);
     }

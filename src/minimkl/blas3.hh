@@ -21,12 +21,6 @@ void sgemm(Order order, Transpose transa, Transpose transb, std::int64_t m,
            std::int64_t lda, const float *b, std::int64_t ldb, float beta,
            float *c, std::int64_t ldc);
 
-/** C := alpha*op(A)*op(B) + beta*C (complex single precision). */
-void cgemm(Order order, Transpose transa, Transpose transb, std::int64_t m,
-           std::int64_t n, std::int64_t k, cfloat alpha, const cfloat *a,
-           std::int64_t lda, const cfloat *b, std::int64_t ldb, cfloat beta,
-           cfloat *c, std::int64_t ldc);
-
 /**
  * Hermitian rank-k update: C := alpha*A*A^H + beta*C (trans == NoTrans)
  * or C := alpha*A^H*A + beta*C (trans == ConjTrans). Only the @p uplo
@@ -45,11 +39,6 @@ void cherk(Order order, Uplo uplo, Transpose trans, std::int64_t n,
 void ctrsm(Order order, Side side, Uplo uplo, Transpose trans, Diag diag,
            std::int64_t m, std::int64_t n, cfloat alpha, const cfloat *a,
            std::int64_t lda, cfloat *b, std::int64_t ldb);
-
-/** Single-precision real TRSM (same semantics as ctrsm). */
-void strsm(Order order, Side side, Uplo uplo, Transpose trans, Diag diag,
-           std::int64_t m, std::int64_t n, float alpha, const float *a,
-           std::int64_t lda, float *b, std::int64_t ldb);
 
 } // namespace mealib::mkl
 

@@ -167,19 +167,6 @@ scsrmvTransRaw1(std::int64_t rows, const std::int32_t *rowPtr,
     }
 }
 
-void
-scsrmvTrans(const CsrMatrix &a, const float *x, float *y)
-{
-    std::memset(y, 0, static_cast<std::size_t>(a.cols) * sizeof(float));
-    for (std::int64_t r = 0; r < a.rows; ++r) {
-        float xv = x[r];
-        if (xv == 0.0f)
-            continue;
-        for (std::int64_t k = a.rowPtr[r]; k < a.rowPtr[r + 1]; ++k)
-            y[a.colIdx[k]] += a.vals[k] * xv;
-    }
-}
-
 CsrMatrix
 csrFromTriplets(std::int64_t rows, std::int64_t cols,
                 std::vector<Triplet> triplets)
@@ -285,23 +272,6 @@ randomGeometricGraph(std::int64_t n, double avgDegree, Rng &rng)
                     }
                 }
             }
-        }
-    }
-    return csrFromTriplets(n, n, std::move(trip));
-}
-
-CsrMatrix
-bandMatrix(std::int64_t n, std::int64_t halfBandwidth)
-{
-    fatalIf(n <= 0, "band: need at least one row");
-    std::vector<Triplet> trip;
-    for (std::int64_t i = 0; i < n; ++i) {
-        std::int64_t lo = std::max<std::int64_t>(0, i - halfBandwidth);
-        std::int64_t hi = std::min<std::int64_t>(n - 1, i + halfBandwidth);
-        for (std::int64_t j = lo; j <= hi; ++j) {
-            float v = i == j ? 2.0f : -1.0f / static_cast<float>(
-                                                 1 + std::llabs(i - j));
-            trip.push_back({i, j, v});
         }
     }
     return csrFromTriplets(n, n, std::move(trip));

@@ -62,9 +62,6 @@ void scsrmvRaw(std::int64_t rows, const std::int64_t *rowPtr,
                const std::int32_t *colIdx, const float *vals,
                const float *x, float *y);
 
-/** y := A^T*x for CSR A (scatter formulation). */
-void scsrmvTrans(const CsrMatrix &a, const float *x, float *y);
-
 /**
  * SpMV over classic 1-based MKL CSR arrays (square matrix), used by the
  * mkl_scsrgemv shim so legacy callers get the parallel path without the
@@ -98,9 +95,6 @@ CsrMatrix csrFromTriplets(std::int64_t rows, std::int64_t cols,
  * degree is @p avgDegree. Edge weights are uniform in (0, 1].
  */
 CsrMatrix randomGeometricGraph(std::int64_t n, double avgDegree, Rng &rng);
-
-/** Symmetric banded test matrix with @p halfBandwidth off-diagonals. */
-CsrMatrix bandMatrix(std::int64_t n, std::int64_t halfBandwidth);
 
 } // namespace mealib::mkl
 

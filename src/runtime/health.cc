@@ -14,23 +14,6 @@ constexpr unsigned kMinSamples = 4;
 
 } // namespace
 
-const char *
-name(StackHealth state)
-{
-    switch (state) {
-      case StackHealth::Healthy:
-        return "healthy";
-      case StackHealth::Quarantined:
-        return "quarantined";
-      case StackHealth::Probation:
-        return "probation";
-      case StackHealth::Dead:
-        return "dead";
-      default:
-        panic("name: bad stack health state");
-    }
-}
-
 Status
 HealthConfig::validate() const
 {

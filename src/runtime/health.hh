@@ -57,9 +57,6 @@ enum class StackHealth
     Dead,        //!< permanently failed (scripted or struck out)
 };
 
-/** Printable state name ("healthy", "quarantined", ...). */
-const char *name(StackHealth state);
-
 /** Quarantine/re-admission policy. Disabled by default. */
 struct HealthConfig
 {

@@ -116,12 +116,6 @@ bindSessionLedger(EnergyLedger *ledger)
     return previous;
 }
 
-EnergyLedger *
-boundSessionLedger()
-{
-    return tlSessionLedger;
-}
-
 MealibRuntime::MealibRuntime(const RuntimeConfig &cfg)
     : cfg_(validated(cfg)),
       mem_(std::make_unique<dram::PhysMem>(cfg.backingBytes)),
@@ -254,14 +248,24 @@ MealibRuntime::accPlan(const accel::DescriptorProgram &prog)
     std::lock_guard<std::mutex> lock(mu_);
     Plan plan;
     plan.prog = prog;
-    plan.imageHash = accel::programHash(prog);
+    const std::vector<std::uint8_t> image = accel::encode(prog);
+    fault::Checksum ck;
+    ck.update(image.data(), image.size());
+    plan.imageHash = ck.value();
 
-    // Descriptor-image memo: a repeated program (same hash AND same
-    // fields — sameProgram guards collisions) reuses the image already
-    // sitting in the command space instead of re-encoding and copying.
+    // Descriptor-image memo: a program that encodes to the bytes of an
+    // image already sitting in the command space reuses it instead of
+    // copying a new one. A hash hit is confirmed byte for byte past the
+    // CR command word, which execution rewrites to DONE.
+    constexpr std::size_t kCmdWord = sizeof(accel::Command);
     auto cached = images_.find(plan.imageHash);
-    if (cached != images_.end() &&
-        accel::sameProgram(cached->second.prog, prog)) {
+    const std::uint8_t *prior =
+        cached != images_.end() && cached->second.descBytes == image.size()
+            ? mem_->raw(cached->second.descAddr, image.size())
+            : nullptr;
+    if (prior != nullptr &&
+        std::memcmp(prior + kCmdWord, image.data() + kCmdWord,
+                    image.size() - kCmdWord) == 0) {
         CachedImage &img = cached->second;
         img.refs++;
         img.lastUse = ++imageUseTick_;
@@ -272,7 +276,6 @@ MealibRuntime::accPlan(const accel::DescriptorProgram &prog)
                  [](EnergyLedger &l) { l.count("plan_image_reuses"); });
     } else {
         const bool collision = cached != images_.end();
-        std::vector<std::uint8_t> image = accel::encode(prog);
         plan.descBytes = image.size();
         Status s = cmdAlloc_->tryAlloc(plan.descBytes, &plan.descAddr);
         if (!s.ok() && s.code() == ErrorCode::Exhausted) {
@@ -294,8 +297,7 @@ MealibRuntime::accPlan(const accel::DescriptorProgram &prog)
             img.descBytes = plan.descBytes;
             img.refs = 1;
             img.lastUse = ++imageUseTick_;
-            img.prog = prog;
-            images_.emplace(plan.imageHash, std::move(img));
+            images_.emplace(plan.imageHash, img);
             plan.imageCached = true;
         }
     }
@@ -400,12 +402,17 @@ MealibRuntime::updateMakespan()
 
 double
 MealibRuntime::hazardReady(const std::vector<AccessInterval> &intervals,
-                           double from) const
+                           double from,
+                           const detail::EventState *self) const
 {
-    for (const PendingAccess &pa : pending_)
-        for (const AccessInterval &iv : intervals)
-            if (iv.conflictsWith(pa.interval))
-                from = std::max(from, pa.finishSeconds);
+    for (const auto &state : inflight_) {
+        if (state.get() == self || state->finishSeconds <= from)
+            continue;
+        for (const AccessInterval &other : state->intervals)
+            for (const AccessInterval &iv : intervals)
+                if (iv.conflictsWith(other))
+                    from = std::max(from, state->finishSeconds);
+    }
     return from;
 }
 
@@ -711,12 +718,6 @@ MealibRuntime::place(Submission &s, unsigned strikeOut)
     hostWaitUntil(q.admitSeconds(hostSeconds_)); // stall on a full queue
     q.retireUpTo(hostSeconds_);
 
-    // Retire hazard records the host clock has already passed: a new
-    // command cannot start before the host submitted it.
-    std::erase_if(pending_, [&](const PendingAccess &pa) {
-        return pa.finishSeconds <= hostSeconds_;
-    });
-
     // Stack occupancy: clean span plus verification, journaling and any
     // fault-recovery time.
     const double start = std::max(hazardReady(plan.intervals, hostSeconds_),
@@ -740,8 +741,6 @@ MealibRuntime::place(Submission &s, unsigned strikeOut)
             ? static_cast<double>(cfg_.checkpoint.intervalComps) /
                   static_cast<double>(plan.expandedComps)
             : 0.0;
-    for (const AccessInterval &iv : plan.intervals)
-        pending_.push_back({iv, finish, state->id});
 
     const bool residencyOn = cfg_.residency.enabled;
     if (s.success) {
@@ -813,8 +812,6 @@ MealibRuntime::waitAll()
         state->waited = true;
     }
     inflight_.clear();
-    // Every recorded access has finished by now.
-    pending_.clear();
     for (CommandQueue &q : queues_)
         q.retireUpTo(hostSeconds_);
     updateMakespan();
@@ -899,14 +896,13 @@ MealibRuntime::failStackLocked(unsigned stackIdx)
         // A drained command's destination is decided below; until it
         // completes there, none of its intervals count as resident.
         residency_.invalidateAll(state->intervals);
-        std::erase_if(pending_, [&](const PendingAccess &pa) {
-            return pa.owner == state->id;
-        });
         if (health_.liveCount() > 0) {
             unsigned dest = sched_.pick(stackIdx, health_);
             CommandQueue &q2 = queues_[dest];
-            const double ready = hazardReady(
-                state->intervals, std::max(now, q2.busyUntilSeconds()));
+            const double ready =
+                hazardReady(state->intervals,
+                            std::max(now, q2.busyUntilSeconds()),
+                            state.get());
             // Checkpoint replay: resume from the last snapshot the
             // dead stack committed before the command's execution
             // point, instead of re-running the command from scratch.
@@ -935,9 +931,6 @@ MealibRuntime::failStackLocked(unsigned stackIdx)
             } else {
                 state->state = EventState::Retried;
             }
-            for (const AccessInterval &iv : state->intervals)
-                pending_.push_back({iv, state->finishSeconds,
-                                    state->id});
         } else if (cfg_.retry.hostFallback) {
             const Cost c = chargeHostFallback(*state);
             state->startSeconds = hostSeconds_ - c.seconds;
@@ -1359,7 +1352,6 @@ MealibRuntime::resetAccounting()
     hostSeconds_ = 0.0;
     hostBusySeconds_ = 0.0;
     makespanSeconds_ = 0.0;
-    pending_.clear();
     inflight_.clear();
     for (CommandQueue &q : queues_)
         q.reset();

@@ -71,9 +71,6 @@ namespace mealib::runtime {
  */
 EnergyLedger *bindSessionLedger(EnergyLedger *ledger);
 
-/** The calling thread's bound session ledger (null if none). */
-EnergyLedger *boundSessionLedger();
-
 /**
  * Recovery policy for injected faults (docs/FAULTS.md): bounded retry
  * with exponential backoff for transient faults, then — if allowed —
@@ -454,16 +451,8 @@ class MealibRuntime
         std::uint64_t writeBytes = 0;    //!< journaled snapshot bytes
 
         // --- descriptor-image memo (accPlan, docs/RUNTIME.md) ---------
-        std::uint64_t imageHash = 0; //!< programHash of prog
+        std::uint64_t imageHash = 0; //!< checksum of the encoded image
         bool imageCached = false;    //!< descAddr shared via images_
-    };
-
-    /** An in-flight command's hazard footprint on the timeline. */
-    struct PendingAccess
-    {
-        AccessInterval interval;
-        double finishSeconds;
-        std::uint64_t owner = 0; //!< event id, for drain re-homing
     };
 
     /** The cross-session lock: serializes every mutating entry point
@@ -508,10 +497,12 @@ class MealibRuntime
     /** Fold the current timeline frontier into the makespan. */
     void updateMakespan();
 
-    /** Earliest time >= @p from at which every in-flight access that
-     * conflicts with @p intervals has finished. */
+    /** Earliest time >= @p from at which every in-flight event (but
+     * @p self, a command being re-homed) whose intervals conflict with
+     * @p intervals has finished. */
     double hazardReady(const std::vector<AccessInterval> &intervals,
-                       double from) const;
+                       double from,
+                       const detail::EventState *self = nullptr) const;
 
     /** A fresh event record in the current accounting epoch. */
     std::shared_ptr<detail::EventState> newEventState();
@@ -579,7 +570,6 @@ class MealibRuntime
         std::uint64_t descBytes = 0;
         unsigned refs = 0;          //!< live plans sharing the image
         std::uint64_t lastUse = 0;  //!< for dead-entry LRU eviction
-        accel::DescriptorProgram prog; //!< hash-collision guard
     };
 
     /** Free dead (refs == 0) memoized images; @p keep newest retained.
@@ -600,7 +590,6 @@ class MealibRuntime
     double hostSeconds_ = 0.0;
     double hostBusySeconds_ = 0.0; //!< RuntimeAccounting::hostBusySeconds
     double makespanSeconds_ = 0.0; //!< RuntimeAccounting::makespanSeconds
-    std::vector<PendingAccess> pending_;
     std::vector<std::shared_ptr<detail::EventState>> inflight_;
     std::uint64_t nextEventId_ = 1;
     std::uint64_t epoch_ = 0; //!< bumped by resetAccounting

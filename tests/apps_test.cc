@@ -149,12 +149,13 @@ TEST(Stap, HostPipelineDispatchesEveryLibraryCallOnce)
     const dispatch::DispatchStats s = disp.snapshot();
     const std::uint64_t blocks = p.nDop * p.nBlocks;
     EXPECT_EQ(s.of(OpKind::Transpose).calls, p.nChan); // mkl_comatcopy
+    EXPECT_EQ(s.of(OpKind::Fft).calls, 1u);            // fftwf_execute
     EXPECT_EQ(s.of(OpKind::Herk).calls, blocks);       // cblas_cherk
     EXPECT_EQ(s.of(OpKind::Trsm).calls, 2 * blocks);   // cblas_ctrsm
     EXPECT_EQ(s.of(OpKind::Dot).calls, p.dotCalls());  // cblas_cdotc_sub
     EXPECT_EQ(s.of(OpKind::Axpy).calls, 1u);           // cblas_caxpy
-    // No other kind: 12 + 256 + 512 + 65536 + 1.
-    EXPECT_EQ(s.totalCalls(), 66317u);
+    // No other kind: 12 + 1 + 256 + 512 + 65536 + 1.
+    EXPECT_EQ(s.totalCalls(), 66318u);
 }
 
 TEST(Stap, ParamsDeriveConsistentShapes)

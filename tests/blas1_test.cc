@@ -171,13 +171,6 @@ TEST(Sasum, SumsAbsoluteValues)
     EXPECT_FLOAT_EQ(sasum(3, x.data(), 1), 6.0f);
 }
 
-TEST(Isamax, FindsLargestMagnitude)
-{
-    std::vector<float> x{1, -7, 3};
-    EXPECT_EQ(isamax(3, x.data(), 1), 1);
-    EXPECT_EQ(isamax(0, x.data(), 1), -1);
-}
-
 TEST(Caxpy, ComplexArithmetic)
 {
     std::vector<cfloat> x{{1, 1}};

@@ -141,6 +141,26 @@ TEST(CgMealib, ReusesFixedPlansAcrossIterations)
     EXPECT_GT(r.accel.seconds, 0.0);
 }
 
+TEST(CgMealib, SetupDotsAreItsOnlyLibraryCalls)
+{
+    // The two set-up norms go through cblas_sdot; every iteration runs
+    // on reused descriptors, so nothing else reaches the dispatcher.
+    const std::int64_t n = 400;
+    mkl::CsrMatrix a = cgTestMatrix(n, 8);
+    runtime::RuntimeConfig cfg;
+    cfg.backingBytes = 64_MiB;
+    runtime::MealibRuntime rt(cfg);
+    dispatch::Dispatcher disp;
+    dispatch::Dispatcher *prev = dispatch::bindCurrentDispatcher(&disp);
+    CgResult r = solveCgMealib(a, rhs(n), rt);
+    dispatch::bindCurrentDispatcher(prev);
+    ASSERT_GT(r.iterations, 0u);
+
+    const dispatch::DispatchStats s = disp.snapshot();
+    EXPECT_EQ(s.of(dispatch::OpKind::Dot).calls, 2u);
+    EXPECT_EQ(s.totalCalls(), 2u);
+}
+
 TEST(CgTestMatrix, IsSymmetricPositiveDefinitish)
 {
     mkl::CsrMatrix a = cgTestMatrix(500, 8);

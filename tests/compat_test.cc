@@ -5,6 +5,7 @@
 #include <complex>
 #include <cstdint>
 #include <cstring>
+#include <set>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "minimkl/blas1.hh"
 #include "minimkl/blas3.hh"
 #include "minimkl/compat.hh"
+#include "minimkl/fft.hh"
 #include "minimkl/transpose.hh"
 
 namespace {
@@ -342,6 +344,47 @@ TEST(MklShims, ScsrgemvTranspose)
     EXPECT_FLOAT_EQ(y[1], 3.0f); // column 1: 3
 }
 
+TEST(MklShims, ScsrgemvTransposeMatchesExplicitTranspose)
+{
+    // A non-symmetric 50 x 50 matrix in classic 1-based CSR, one to
+    // three nonzeros per row: the transposed walk must equal a dense
+    // oracle's A^T x and count one Spmv dispatch.
+    const int rows = 50;
+    mealib::Rng rng(3);
+    std::vector<int> ia{1}, ja;
+    std::vector<float> vals;
+    for (int r = 0; r < rows; ++r) {
+        const std::set<int> cols{r, (3 * r + 1) % rows, (7 * r + 4) % rows};
+        for (int c : cols) {
+            ja.push_back(c + 1);
+            vals.push_back(rng.uniform(-1.0f, 1.0f));
+        }
+        ia.push_back(static_cast<int>(ja.size()) + 1);
+    }
+    std::vector<float> x(rows);
+    for (auto &v : x)
+        v = rng.uniform(-1.0f, 1.0f);
+
+    std::vector<float> ref(rows, 0.0f);
+    for (int r = 0; r < rows; ++r)
+        for (int k = ia[static_cast<std::size_t>(r)] - 1;
+             k < ia[static_cast<std::size_t>(r) + 1] - 1; ++k)
+            ref[static_cast<std::size_t>(ja[static_cast<std::size_t>(k)] -
+                                         1)] +=
+                vals[static_cast<std::size_t>(k)] *
+                x[static_cast<std::size_t>(r)];
+
+    std::vector<float> y(rows, 0.0f);
+    int m = rows;
+    EXPECT_EQ(callsDuring(OpKind::Spmv, [&] {
+                  mkl_scsrgemv("T", &m, vals.data(), ia.data(), ja.data(),
+                               x.data(), y.data());
+              }),
+              1u);
+    for (std::size_t i = 0; i < ref.size(); ++i)
+        EXPECT_NEAR(y[i], ref[i], 1e-5f) << "column " << i;
+}
+
 TEST(MklShims, ScsrgemvOverwritesPoisonedOutput)
 {
     // Implicit beta == 0: y must be a pure write, never read, in both
@@ -491,6 +534,36 @@ TEST(FftwShims, BatchedGuruPlan)
         EXPECT_NEAR(std::abs(out[static_cast<std::size_t>(b * n)] - sum),
                     0.0f, 1e-4f);
     }
+}
+
+TEST(FftwShims, BatchedGuruPlanMatchesKernelPlanAndCountsFft)
+{
+    // STAP's doppler transform (Listing 1): rank 1 {n, 1, 1} over howmany
+    // {rows, n, n}. The shim must produce the bytes of the batched kernel
+    // plan it stands for and dispatch once, at execute.
+    const int n = 16, rows = 12;
+    std::vector<cfloat> in(static_cast<std::size_t>(n * rows));
+    mealib::Rng rng(8);
+    for (auto &v : in)
+        v = {rng.uniform(-1.0f, 1.0f), rng.uniform(-1.0f, 1.0f)};
+    std::vector<cfloat> want(in.size()), out(in.size());
+    mealib::mkl::FftPlan::dft1dBatched(n, rows, n,
+                                       mealib::mkl::FftDirection::Forward)
+        .execute(in.data(), want.data());
+
+    const fftwf_iodim dft{n, 1, 1};
+    const fftwf_iodim hm{rows, n, n};
+    EXPECT_EQ(callsDuring(OpKind::Fft, [&] {
+                  fftwf_plan p = fftwf_plan_guru_dft(
+                      1, &dft, 1, &hm,
+                      reinterpret_cast<fftwf_complex *>(in.data()),
+                      reinterpret_cast<fftwf_complex *>(out.data()),
+                      FFTW_FORWARD, FFTW_ESTIMATE);
+                  fftwf_execute(p);
+                  fftwf_destroy_plan(p);
+              }),
+              1u);
+    EXPECT_TRUE(sameBytes(out, want));
 }
 
 } // namespace

@@ -1,5 +1,11 @@
 // Tests for the accelerator descriptor binary format (CR/IR/PR).
 
+#include <cstring>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "accel/descriptor.hh"
@@ -81,6 +87,81 @@ TEST(Descriptor, EncodeDecodeRoundTrip)
             EXPECT_EQ(a.call.in3.stride, b.call.in3.stride);
             EXPECT_EQ(a.call.out.base, b.call.out.base);
         }
+    }
+}
+
+TEST(Descriptor, EveryProgramFieldReachesTheImage)
+{
+    // The runtime's plan-image memo treats two programs as one when their
+    // images match past the CR command word, so a change to any field a
+    // program carries must change those bytes.
+    const std::vector<std::uint8_t> base = encode(sampleProgram());
+    using Edit = std::function<void(DescriptorProgram &)>;
+    std::vector<std::pair<std::string, Edit>> edits;
+    auto call = [](DescriptorProgram &p) -> OpCall & {
+        return p.instrs[2].call; // the FFT inside the loop body
+    };
+    edits.emplace_back("kind", [&](DescriptorProgram &p) {
+        call(p).kind = AccelKind::RESMP;
+    });
+    edits.emplace_back("n", [&](DescriptorProgram &p) { call(p).n++; });
+    edits.emplace_back("m", [&](DescriptorProgram &p) { call(p).m++; });
+    edits.emplace_back("k", [&](DescriptorProgram &p) { call(p).k++; });
+    edits.emplace_back("inc0", [&](DescriptorProgram &p) { call(p).inc0++; });
+    edits.emplace_back("inc1", [&](DescriptorProgram &p) { call(p).inc1++; });
+    edits.emplace_back("alpha", [&](DescriptorProgram &p) {
+        call(p).alpha = 2.5f;
+    });
+    edits.emplace_back("beta", [&](DescriptorProgram &p) {
+        call(p).beta = 0.75f;
+    });
+    edits.emplace_back("complexData", [&](DescriptorProgram &p) {
+        call(p).complexData = !call(p).complexData;
+    });
+    edits.emplace_back("conjugate", [&](DescriptorProgram &p) {
+        call(p).conjugate = !call(p).conjugate;
+    });
+    edits.emplace_back("fftDir", [&](DescriptorProgram &p) {
+        call(p).fftDir = -call(p).fftDir;
+    });
+    edits.emplace_back("resampleKind", [&](DescriptorProgram &p) {
+        call(p).resampleKind++;
+    });
+    const std::pair<const char *, OperandRef OpCall::*> operands[] = {
+        {"in0", &OpCall::in0}, {"in1", &OpCall::in1},
+        {"in2", &OpCall::in2}, {"in3", &OpCall::in3},
+        {"out", &OpCall::out}};
+    for (const auto &[name, op] : operands) {
+        edits.emplace_back(std::string(name) + ".base",
+                           [&, op](DescriptorProgram &p) {
+                               (call(p).*op).base += 4;
+                           });
+        for (unsigned d = 0; d < kMaxLoopDims; ++d)
+            edits.emplace_back(std::string(name) + ".stride[" +
+                                   std::to_string(d) + "]",
+                               [&, op, d](DescriptorProgram &p) {
+                                   (call(p).*op).stride[d] += 4;
+                               });
+    }
+    for (unsigned d = 0; d < kMaxLoopDims; ++d)
+        edits.emplace_back("loop.dims[" + std::to_string(d) + "]",
+                           [d](DescriptorProgram &p) {
+                               p.instrs[0].loop.dims[d]++;
+                           });
+    edits.emplace_back("bodyCount", [](DescriptorProgram &p) {
+        p.instrs[0].bodyCount = 5; // both passes instead of the first
+    });
+
+    constexpr std::size_t kCmdWord = sizeof(Command);
+    for (auto &[what, edit] : edits) {
+        DescriptorProgram p = sampleProgram();
+        edit(p);
+        const std::vector<std::uint8_t> image = encode(p);
+        EXPECT_TRUE(image.size() != base.size() ||
+                    std::memcmp(image.data() + kCmdWord,
+                                base.data() + kCmdWord,
+                                base.size() - kCmdWord) != 0)
+            << what;
     }
 }
 

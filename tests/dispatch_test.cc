@@ -22,6 +22,9 @@
 #include "minimkl/blas2.hh"
 #include "minimkl/blas3.hh"
 #include "minimkl/compat.hh"
+#include "minimkl/fft.hh"
+#include "minimkl/resample.hh"
+#include "minimkl/sparse.hh"
 #include "minimkl/transpose.hh"
 #include "runtime/runtime.hh"
 
@@ -36,7 +39,7 @@ TEST(OpIr, KindEnumMirrorsAccelKinds)
          k < static_cast<std::uint8_t>(accel::AccelKind::kCount); ++k) {
         OpKind op = opKindOf(static_cast<accel::AccelKind>(k));
         EXPECT_TRUE(accelerable(op));
-        EXPECT_EQ(static_cast<std::uint8_t>(accelKindOf(op)), k);
+        EXPECT_EQ(static_cast<std::uint8_t>(op), k);
     }
     EXPECT_FALSE(accelerable(OpKind::Gemm));
     EXPECT_FALSE(accelerable(OpKind::Herk));
@@ -208,6 +211,144 @@ TEST(CostModel, FusionWindowMemoSurvivesToggle)
     costs.setFusionWindow(4);
     const double h4 = costs.hostSeconds(d);
     EXPECT_EQ(std::memcmp(&h4, &h1, sizeof h1), 0);
+}
+
+TEST(CostModel, MemoKeyCoversEveryFieldTheEstimatesRead)
+{
+    // One shared model must price every shape as a fresh model does.
+    // Each pair below differs only in a field the estimates read, so a
+    // memo key without that field would return the first shape's price
+    // for the second.
+    auto pricesLikeFresh = [](const OpDesc &first, const OpDesc &second) {
+        RooflineCostModel shared;
+        const double host1 = shared.hostSeconds(first);
+        const double accel1 = shared.accelSeconds(first);
+        RooflineCostModel fresh;
+        const double host2 = fresh.hostSeconds(second);
+        const double accel2 = fresh.accelSeconds(second);
+        EXPECT_NE(host2, host1);
+        if (second.accelSupported) {
+            EXPECT_NE(accel2, accel1);
+        }
+        EXPECT_EQ(shared.hostSeconds(second), host2);
+        EXPECT_EQ(shared.accelSeconds(second), accel2);
+    };
+
+    {
+        SCOPED_TRACE("sinc RESMP after a linear one");
+        const OpDesc linear =
+            lowerResample(nullptr, 1 << 20, nullptr, 2 << 20);
+        OpDesc sinc = linear;
+        sinc.call.resampleKind =
+            static_cast<std::uint32_t>(mkl::InterpKind::Sinc8);
+        pricesLikeFresh(linear, sinc);
+    }
+
+    accel::OpCall dot;
+    dot.kind = accel::AccelKind::DOT;
+    dot.n = 1 << 16;
+    dot.in0.stride = {4 << 16, 0, 0, 0};
+    dot.in1.stride = {4 << 16, 0, 0, 0};
+    dot.out.stride = {4, 0, 0, 0};
+    accel::LoopSpec loop;
+    loop.dims = {64, 1, 1, 1};
+    const OpDesc moving = opDescFromCall(dot, loop);
+    {
+        SCOPED_TRACE("64-iteration DOT reusing x after a moving one");
+        accel::OpCall reused = dot;
+        reused.in0.stride = {0, 0, 0, 0};
+        pricesLikeFresh(moving, opDescFromCall(reused, loop));
+    }
+    {
+        SCOPED_TRACE("the same 64 iterations over a dimension that "
+                     "moves no operand");
+        accel::LoopSpec split;
+        split.dims = {8, 8, 1, 1};
+        pricesLikeFresh(moving, opDescFromCall(dot, split));
+    }
+    {
+        SCOPED_TRACE("1M-element rank-0 FFTW copy after a 1K one");
+        const mkl::FftPlan small({}, {{1024, 1, 1}},
+                                 mkl::FftDirection::Forward);
+        const mkl::FftPlan large({}, {{1 << 20, 1, 1}},
+                                 mkl::FftDirection::Forward);
+        pricesLikeFresh(lowerFft(small, nullptr, nullptr),
+                        lowerFft(large, nullptr, nullptr));
+    }
+}
+
+TEST(CostModel, SharedModelPricesASweepLikeFreshModels)
+{
+    // A mixed sweep (every lowering, several sizes, real and complex,
+    // flat and looped) priced through one model, then each shape through
+    // a model of its own: a memo key missing any field the estimates
+    // read hands some later shape an earlier shape's price.
+    std::vector<OpDesc> sweep;
+    Rng rng(12);
+    std::vector<mkl::CsrMatrix> graphs;
+    for (double degree : {4.0, 12.0})
+        graphs.push_back(mkl::randomGeometricGraph(4096, degree, rng));
+    for (const mkl::CsrMatrix &g : graphs)
+        sweep.push_back(lowerScsrmv(g, nullptr, nullptr));
+    for (std::int64_t n : {1 << 10, 1 << 16, 1 << 20}) {
+        sweep.push_back(lowerSaxpy(n, 2.0f, nullptr, 1, nullptr, 1));
+        sweep.push_back(lowerCaxpy(n, {1, 2}, nullptr, 1, nullptr, 1));
+        sweep.push_back(lowerSdot(n, nullptr, 1, nullptr, 1, nullptr));
+        sweep.push_back(lowerCdotc(n, nullptr, 1, nullptr, 1, nullptr));
+        sweep.push_back(lowerSgemv(mkl::Order::RowMajor,
+                                   mkl::Transpose::NoTrans, n / 64, 64,
+                                   1.0f, nullptr, 64, nullptr, 1, 0.0f,
+                                   nullptr, 1));
+        OpDesc linear = lowerResample(nullptr, n, nullptr, 2 * n);
+        sweep.push_back(linear);
+        linear.call.resampleKind =
+            static_cast<std::uint32_t>(mkl::InterpKind::Sinc8);
+        sweep.push_back(linear);
+        sweep.push_back(lowerTranspose(n / 32, 32, 1.0f, nullptr, nullptr,
+                                       false, true));
+        sweep.push_back(lowerTranspose(n / 32, 32, 1.0f, nullptr, nullptr,
+                                       true, true));
+        const auto batched = mkl::FftPlan::dft1dBatched(
+            64, n / 64, 64, mkl::FftDirection::Forward);
+        sweep.push_back(lowerFft(batched, nullptr, nullptr));
+        const mkl::FftPlan copy({}, {{n, 1, 1}},
+                                mkl::FftDirection::Forward);
+        sweep.push_back(lowerFft(copy, nullptr, nullptr));
+        sweep.push_back(lowerSscal(n, nullptr, 1));
+        sweep.push_back(lowerScopy(n, nullptr, 1, nullptr, 1));
+        const std::int64_t side = n >> 6;
+        sweep.push_back(lowerSgemm(side, side, 64, nullptr, nullptr,
+                                   nullptr));
+        sweep.push_back(lowerCherk(side, 64, nullptr, nullptr));
+        sweep.push_back(lowerCtrsm(side, 64, nullptr, nullptr));
+    }
+    accel::OpCall dot;
+    dot.kind = accel::AccelKind::DOT;
+    dot.n = 1 << 14;
+    for (std::int64_t xStride : {0, 4 << 14}) {
+        dot.in0.stride = {xStride, 0, 0, 0};
+        dot.in1.stride = {4 << 14, 0, 0, 0};
+        dot.out.stride = {4, 0, 0, 0};
+        for (std::uint32_t inner : {64u, 8u}) {
+            accel::LoopSpec loop;
+            loop.dims = {inner, 64 / inner, 1, 1};
+            sweep.push_back(opDescFromCall(dot, loop));
+        }
+    }
+
+    RooflineCostModel shared;
+    std::vector<double> host, accel;
+    for (const OpDesc &d : sweep) {
+        host.push_back(shared.hostSeconds(d));
+        accel.push_back(shared.accelSeconds(d));
+    }
+    for (std::size_t i = 0; i < sweep.size(); ++i) {
+        RooflineCostModel fresh;
+        EXPECT_EQ(host[i], fresh.hostSeconds(sweep[i]))
+            << "shape " << i << " (" << name(sweep[i].kind) << ")";
+        EXPECT_EQ(accel[i], fresh.accelSeconds(sweep[i]))
+            << "shape " << i << " (" << name(sweep[i].kind) << ")";
+    }
 }
 
 TEST(Policy, ModelDrivenPoliciesDefaultHostWithoutOracle)

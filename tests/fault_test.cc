@@ -691,6 +691,58 @@ TEST(Degradation, FailStackDrainsQueuedCommandsToSurvivor)
     EXPECT_GT(rt.queue(1).busySeconds(), 0.0);
 }
 
+TEST(Degradation, DrainedCommandDoesNotWaitOnItsOwnOldSlot)
+{
+    // The drain's hazard check skips the command being re-homed: its own
+    // footprint, still booked until its old finish on the dead stack, is
+    // no reason to wait.
+    MealibRuntime rt(baseConfig(2));
+    Operands ops = fillOperands(rt);
+    Event ev = rt.accSubmitOn(planLoopedAxpy(rt, ops.x[0], ops.y[0]), 0);
+    const double oldFinish = ev.finishSeconds();
+    const double failedAt = rt.nowSeconds();
+    ASSERT_LT(failedAt, oldFinish); // still running when the stack dies
+    rt.failStack(0);
+
+    EXPECT_EQ(ev.state(), EventState::Retried);
+    EXPECT_EQ(ev.stack(), 1u);
+    // Stack 1 is idle and nothing else is in flight.
+    EXPECT_EQ(ev.startSeconds(), failedAt);
+    EXPECT_LT(ev.startSeconds(), oldFinish);
+    rt.waitAll();
+}
+
+TEST(Degradation, DrainedCommandStillOrdersLaterConflicts)
+{
+    // A drained command keeps its footprint and takes its new finish
+    // time: a later reader of its output on the other survivor waits for
+    // the re-homed run, not for the cancelled one.
+    MealibRuntime rt(baseConfig(3));
+    Operands ops = fillOperands(rt);
+    Event writer =
+        rt.accSubmitOn(planLoopedAxpy(rt, ops.x[0], ops.y[0]), 0);
+    const double oldFinish = writer.finishSeconds();
+    // A little host work first, so the re-homed run starts, and ends,
+    // later than the cancelled one would have.
+    host::KernelProfile work;
+    work.name = "host";
+    work.flops = 1e4;
+    work.bytesRead = 1e4;
+    rt.runOnHost(work);
+    ASSERT_LT(rt.nowSeconds(), oldFinish);
+    rt.failStack(0);
+    ASSERT_EQ(writer.state(), EventState::Retried);
+    EXPECT_GT(writer.finishSeconds(), oldFinish);
+
+    const unsigned other = writer.stack() == 1 ? 2 : 1;
+    // y[other] += 2 * y[0] reads everything the drained command writes.
+    Event reader = rt.accSubmitOn(
+        planLoopedAxpy(rt, ops.y[0], ops.y[other]), other);
+    EXPECT_EQ(reader.stack(), other);
+    EXPECT_GE(reader.startSeconds(), writer.finishSeconds());
+    rt.waitAll();
+}
+
 TEST(Degradation, LastStackFailureFallsBackToHost)
 {
     MealibRuntime rt(baseConfig(1));

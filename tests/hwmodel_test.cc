@@ -35,8 +35,6 @@ TEST(Registry, CanonicalNamesAndAliases)
     EXPECT_EQ(hwmodel::profile("haswell").name, "haswell4770k");
     EXPECT_EQ(hwmodel::profile("phi").name, "xeonphi5110p");
     EXPECT_EQ(hwmodel::profile("xeonphi").name, "xeonphi5110p");
-    EXPECT_TRUE(hwmodel::knownMachine("haswell"));
-    EXPECT_FALSE(hwmodel::knownMachine("pentium4"));
     EXPECT_THROW(hwmodel::profile("pentium4"), FatalError);
     EXPECT_EQ(hwmodel::profileNames().size(), 2u);
 }
@@ -72,13 +70,11 @@ TEST(Registry, SetActiveMachineRefusesWhilePinned)
     // A live session pins the active profile; switching under it would
     // silently reprice in-flight work.
     hwmodel::pinActiveMachine();
-    EXPECT_EQ(hwmodel::activeMachinePins(), 1);
     const Status st = hwmodel::setActiveMachine("phi");
     EXPECT_FALSE(st.ok());
     EXPECT_EQ(st.code(), ErrorCode::InvalidArgument);
     EXPECT_EQ(hwmodel::activeProfile().name, "haswell4770k");
     hwmodel::unpinActiveMachine();
-    EXPECT_EQ(hwmodel::activeMachinePins(), 0);
     EXPECT_TRUE(hwmodel::setActiveMachine("phi").ok());
     EXPECT_TRUE(hwmodel::setActiveMachine("haswell4770k").ok());
 }

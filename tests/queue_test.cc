@@ -326,6 +326,34 @@ TEST(Queue, WawAndWarHazardsOrderPlans)
     rt.accDestroy(h4);
 }
 
+TEST(Queue, HazardWaitsForTheLastOfSeveralConflicts)
+{
+    // A command conflicting with several in-flight ones starts after the
+    // last of them finishes, not after the first one found.
+    RuntimeConfig cfg = twoStacks();
+    cfg.numStacks = 3;
+    MealibRuntime rt(cfg);
+    const std::int64_t n = kLoopedN;
+    auto *x = static_cast<float *>(rt.memAllocOn(0, n * 4));
+    auto *a = static_cast<float *>(rt.memAllocOn(0, n * 4));
+    auto *b = static_cast<float *>(rt.memAllocOn(1, n * 4));
+    auto *c = static_cast<float *>(rt.memAllocOn(1, n * 4));
+
+    auto h1 = planLoopedAxpy(rt, x, a); // a += x on stack 0
+    auto h2 = planLoopedAxpy(rt, x, c); // c += x, ahead of h3 on stack 1
+    auto h3 = planLoopedAxpy(rt, x, b); // b += x, finishes last
+    auto h4 = planLoopedAxpy(rt, a, b); // reads a, writes b
+    Event e1 = rt.accSubmitOn(h1, 0);
+    Event e2 = rt.accSubmitOn(h2, 1);
+    Event e3 = rt.accSubmitOn(h3, 1);
+    Event e4 = rt.accSubmitOn(h4, 2);
+    EXPECT_GT(e3.finishSeconds(), e1.finishSeconds());
+    EXPECT_GE(e4.startSeconds(), e3.finishSeconds());
+    rt.waitAll();
+    for (AccPlanHandle h : {h1, h2, h3, h4})
+        rt.accDestroy(h);
+}
+
 TEST(Queue, DisjointHalvesOfOneBufferDoNotConflict)
 {
     // Control for the hazard tests: identical shape and sizing, but the

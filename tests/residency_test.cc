@@ -6,6 +6,7 @@
 // hold for any thread count.
 
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -161,6 +162,135 @@ TEST(Residency, ChainedCommandsHaveNonIncreasingInvocationCost)
 
     rt.memFree(in);
     rt.memFree(out);
+}
+
+TEST(Residency, ProgramsDifferingInOneEncodedFieldShareNoImage)
+{
+    // The memo is keyed by the encoded image: two live plans whose
+    // programs differ only in alpha must each keep their own image, or
+    // one would execute the other's alpha.
+    MealibRuntime rt(smallCfg(false));
+    const std::uint64_t n = 256;
+    auto *x = static_cast<float *>(rt.memAlloc(n * 4));
+    auto *y = static_cast<float *>(rt.memAlloc(n * 4));
+    for (std::uint64_t i = 0; i < n; ++i) {
+        x[i] = static_cast<float>(i) - 100.0f;
+        y[i] = 0.0f;
+    }
+    auto plan = [&](float alpha) {
+        OpCall c;
+        c.kind = AccelKind::AXPY;
+        c.n = n;
+        c.alpha = alpha;
+        c.beta = 0.0f; // y := alpha * x
+        c.in0 = {rt.physOf(x), {0, 0, 0, 0}};
+        c.out = {rt.physOf(y), {0, 0, 0, 0}};
+        DescriptorProgram d;
+        d.addComp(c);
+        d.addPassEnd();
+        return rt.accPlan(d);
+    };
+
+    const AccPlanHandle h2 = plan(2.0f);
+    const AccPlanHandle h3 = plan(3.0f);
+    const std::pair<AccPlanHandle, float> runs[] = {
+        {h2, 2.0f}, {h3, 3.0f}, {h2, 2.0f}};
+    for (const auto &[h, alpha] : runs) {
+        rt.accExecute(h);
+        for (std::uint64_t i = 0; i < n; ++i)
+            ASSERT_EQ(y[i], alpha * x[i]) << "alpha " << alpha << " i=" << i;
+    }
+    EXPECT_EQ(rt.accounting().planImageReuses, 0u);
+
+    // The same program again, with its image's CR word now DONE, does
+    // hit the memo.
+    const AccPlanHandle again = plan(3.0f);
+    EXPECT_EQ(rt.accounting().planImageReuses, 1u);
+    for (AccPlanHandle h : {h2, h3, again})
+        rt.accDestroy(h);
+    rt.memFree(x);
+    rt.memFree(y);
+}
+
+/** y := alpha * x + beta * y over @p n floats, as a one-pass program. */
+DescriptorProgram
+axpyProgram(MealibRuntime &rt, const float *x, float *y, std::uint64_t n,
+            float alpha, float beta)
+{
+    OpCall c;
+    c.kind = AccelKind::AXPY;
+    c.n = n;
+    c.alpha = alpha;
+    c.beta = beta;
+    c.in0 = {rt.physOf(x), {0, 0, 0, 0}};
+    c.out = {rt.physOf(y), {0, 0, 0, 0}};
+    DescriptorProgram d;
+    d.addComp(c);
+    d.addPassEnd();
+    return d;
+}
+
+TEST(Residency, SeparatelyBuiltEqualProgramsShareOneImage)
+{
+    // The memo compares encoded images, not program objects: a program
+    // rebuilt field for field lands on the image already in the command
+    // space, and both plans run it.
+    MealibRuntime rt(smallCfg(false));
+    const std::uint64_t n = 256;
+    auto *x = static_cast<float *>(rt.memAlloc(n * 4));
+    auto *y = static_cast<float *>(rt.memAlloc(n * 4));
+    for (std::uint64_t i = 0; i < n; ++i) {
+        x[i] = static_cast<float>(i) - 100.0f;
+        y[i] = 1.0f;
+    }
+    const AccPlanHandle h1 = rt.accPlan(axpyProgram(rt, x, y, n, 2.0f, 1.0f));
+    const AccPlanHandle h2 = rt.accPlan(axpyProgram(rt, x, y, n, 2.0f, 1.0f));
+    EXPECT_EQ(rt.accounting().planImageReuses, 1u);
+
+    rt.accExecute(h1);
+    rt.accExecute(h2);
+    for (std::uint64_t i = 0; i < n; ++i)
+        ASSERT_EQ(y[i], 1.0f + 4.0f * x[i]) << "i=" << i;
+    rt.accDestroy(h1);
+    rt.accDestroy(h2);
+    rt.memFree(x);
+    rt.memFree(y);
+}
+
+TEST(Residency, ProgramsOnDifferentOperandsShareNoImage)
+{
+    // Operand addresses are part of the image: the same call over another
+    // output buffer gets an image of its own, so running one plan never
+    // writes the other's output.
+    MealibRuntime rt(smallCfg(false));
+    const std::uint64_t n = 256;
+    auto *x = static_cast<float *>(rt.memAlloc(n * 4));
+    auto *y1 = static_cast<float *>(rt.memAlloc(n * 4));
+    auto *y2 = static_cast<float *>(rt.memAlloc(n * 4));
+    for (std::uint64_t i = 0; i < n; ++i) {
+        x[i] = static_cast<float>(i) - 100.0f;
+        y1[i] = -1.0f;
+        y2[i] = -1.0f;
+    }
+    const AccPlanHandle h1 =
+        rt.accPlan(axpyProgram(rt, x, y1, n, 2.0f, 0.0f));
+    const AccPlanHandle h2 =
+        rt.accPlan(axpyProgram(rt, x, y2, n, 2.0f, 0.0f));
+    EXPECT_EQ(rt.accounting().planImageReuses, 0u);
+
+    rt.accExecute(h2);
+    for (std::uint64_t i = 0; i < n; ++i) {
+        ASSERT_EQ(y2[i], 2.0f * x[i]) << "i=" << i;
+        ASSERT_EQ(y1[i], -1.0f) << "i=" << i;
+    }
+    rt.accExecute(h1);
+    for (std::uint64_t i = 0; i < n; ++i)
+        ASSERT_EQ(y1[i], 2.0f * x[i]) << "i=" << i;
+    rt.accDestroy(h1);
+    rt.accDestroy(h2);
+    rt.memFree(x);
+    rt.memFree(y1);
+    rt.memFree(y2);
 }
 
 TEST(Residency, HostWriteHazardRestoresColdFlushCost)

@@ -43,15 +43,20 @@ TEST(SessionBinding, RoutesDispatchAndRestores)
 {
     runtime::MealibRuntime rt(testConfig());
     Session s(rt);
-    EXPECT_FALSE(dispatch::hasBoundDispatcher());
+    host::KernelProfile work;
+    work.flops = 1e6;
+    EXPECT_EQ(&dispatch::currentDispatcher(),
+              &dispatch::Dispatcher::global());
     {
         SessionBinding bound = s.bind();
-        EXPECT_TRUE(dispatch::hasBoundDispatcher());
         EXPECT_EQ(&dispatch::currentDispatcher(), &s.dispatcher());
-        EXPECT_EQ(runtime::boundSessionLedger(), &s.ledger());
+        rt.runOnHost(work); // lands in the bound session's ledger
     }
-    EXPECT_FALSE(dispatch::hasBoundDispatcher());
-    EXPECT_EQ(runtime::boundSessionLedger(), nullptr);
+    const Cost bound = s.ledger().track("host");
+    EXPECT_GT(bound.seconds, 0.0);
+    rt.runOnHost(work); // unbound: the aggregate ledger only
+    EXPECT_EQ(s.ledger().track("host").seconds, bound.seconds);
+    EXPECT_EQ(rt.accounting().host.seconds, 2.0 * bound.seconds);
     EXPECT_EQ(&dispatch::currentDispatcher(),
               &dispatch::Dispatcher::global());
 }
